@@ -309,10 +309,6 @@ def nf_mul(x: NormalForm, y: NormalForm) -> NormalForm:
     return reduce(x.mat, x.letters() + y.letters())
 
 
-def nf_eq(x: NormalForm, y: NormalForm) -> bool:
-    return x == y
-
-
 def render(nf: NormalForm) -> str:
     toks = [f"b({b.n},s{b.s})" for b in nf.v]
     if nf.s != nf.mat.identity or (not nf.v and not nf.u):

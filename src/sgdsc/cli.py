@@ -23,6 +23,11 @@ def _report(subject, checks, timing: Optional[float]) -> dict:
     return rep
 
 
+# ValueError: bad JSON or bytes that are not UTF-8; RecursionError: JSON nested
+# past the parser's depth
+_LOAD_ERRORS = (OSError, ValueError, RecursionError, finite.SemigroupError)
+
+
 def _load_table(path: str) -> finite.FiniteSemigroup:
     with open(path, "r", encoding="utf-8") as fh:
         return finite.from_json(fh.read())
@@ -34,7 +39,7 @@ def _load_table(path: str) -> finite.FiniteSemigroup:
 def cmd_check(args) -> int:
     try:
         s = _load_table(args.path)
-    except (OSError, json.JSONDecodeError, finite.SemigroupError) as exc:
+    except _LOAD_ERRORS as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     t0 = time.perf_counter()
@@ -62,10 +67,9 @@ def cmd_check(args) -> int:
 
     dsc = relations.is_dsc_fast(s)
     dsc_witness = None
-    if not dsc or args.witness:
-        if not dsc:
-            ps, failing, strategy = relations.witness_non_dsc(s)
-            dsc_witness = relations.witness_json(ps, failing, strategy)
+    if not dsc:
+        ps, failing, strategy = relations.witness_non_dsc(s)
+        dsc_witness = relations.witness_json(ps, failing, strategy)
     add("dsc", dsc, dsc_witness)
 
     if args.brute:
@@ -88,8 +92,9 @@ def cmd_check(args) -> int:
 # sg enumerate
 
 def cmd_enumerate(args) -> int:
-    if args.n > 4:
-        print(json.dumps({"error": "enumeration capped at order 4"}), file=sys.stderr)
+    if not 1 <= args.n <= 4:
+        print(json.dumps({"error": "enumeration order must be between 1 and 4"}),
+              file=sys.stderr)
         return 2
     if args.oracle:
         total = groups = 0
@@ -136,7 +141,7 @@ def cmd_enumerate(args) -> int:
 def cmd_witness(args) -> int:
     try:
         s = _load_table(args.path)
-    except (OSError, json.JSONDecodeError, finite.SemigroupError) as exc:
+    except _LOAD_ERRORS as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     if finite.is_group(s):
@@ -190,16 +195,6 @@ def _parse_letter(m: byleen.TwoTransitiveMatrix, text: str) -> byleen.Letter:
     return word[0]
 
 
-def _sandwich_inverse_oracle(base: finite.FiniteSemigroup):
-    def oracle(s: int) -> Optional[int]:
-        for t in range(base.order):
-            if base.table[base.table[s][t]][s] == s and \
-                    base.table[base.table[t][s]][t] == t:
-                return t
-        return None
-    return oracle
-
-
 def cmd_byleen(args) -> int:
     m = byleen.TwoTransitiveMatrix(_base_monoid(args.base))
     try:
@@ -226,7 +221,8 @@ def cmd_byleen(args) -> int:
                   args.pretty)
         else:  # inverse
             t = byleen.reduce(m, _parse_word(m, args.args[0]))
-            inv = byleen.inverse_of(m, t, _sandwich_inverse_oracle(m.base))
+            inv = byleen.inverse_of(
+                m, t, lambda s: next(iter(finite.inverses_of(m.base, s)), None))
             _emit({"element": byleen.render(t), "inverse": byleen.render(inv),
                    "verified": True}, args.pretty)
     except (ValueError, IndexError) as exc:
@@ -241,81 +237,8 @@ def cmd_byleen(args) -> int:
 # ---------------------------------------------------------------------------
 # sg models
 
-def _bicyclic_checks() -> list:
-    bound = 6
-    elems = [infinite.BicyclicElement(m, n)
-             for m in range(bound + 1) for n in range(bound + 1)]
-    leq = infinite.bicyclic_leq
-    checks = [
-        ("reflexive", all(leq(x, x) for x in elems)),
-        ("antisymmetric", all(not (leq(x, y) and leq(y, x)) or x == y
-                              for x in elems for y in elems)),
-        ("transitive", all(not (leq(x, y) and leq(y, z)) or leq(x, z)
-                           for x in elems for y in elems for z in elems)),
-        ("compatible", all(not (leq(x, y) and leq(xp, yp))
-                           or leq(infinite.bicyclic_mul(x, xp),
-                                  infinite.bicyclic_mul(y, yp))
-                           for x in elems for y in elems
-                           for xp in elems for yp in elems)),
-        ("closed_form_matches_search",
-         all(leq(x, y) == infinite.bicyclic_leq_search(x, y, 2 * bound + 2)
-             for x in elems for y in elems)),
-    ]
-    one_one = infinite.BicyclicElement(1, 1)
-    zero = infinite.BicyclicElement(0, 0)
-    checks.append(("order_asymmetry_witness", leq(one_one, zero) and not leq(zero, one_one)))
-    return [{"name": n, "pass": bool(ok)} for (n, ok) in checks]
-
-
-def _bruck_reilly_checks() -> list:
-    base = finite.cyclic_group(2)
-    checks = []
-    for tag, mapping in (("theta_identity", (0, 1)), ("theta_constant", (0, 0))):
-        theta = finite.EndomorphismTable(base, mapping)
-        bound = 5
-        elems = [infinite.BRElement(m, s, n, theta)
-                 for m in range(bound + 1) for s in range(2) for n in range(bound + 1)]
-        hom = all(infinite.br_project(infinite.br_mul(x, y))
-                  == infinite.bicyclic_mul(infinite.br_project(x), infinite.br_project(y))
-                  for x in elems for y in elems)
-        checks.append({"name": f"projection_homomorphism_{tag}", "pass": bool(hom)})
-        hi = infinite.BRElement(1, 1, 1, theta)
-        lo = infinite.BRElement(0, 0, 0, theta)
-        checks.append({"name": f"pulled_back_order_asymmetry_{tag}",
-                       "pass": bool(infinite.br_order_member(hi, lo)
-                                    and not infinite.br_order_member(lo, hi))})
-    return checks
-
-
-def _baer_levi_checks() -> list:
-    w = infinite.baer_levi_witness()
-    return [
-        {"name": "fg_member", "pass": w["fg"],
-         "witness": {"intersection": w["fg_intersection"]}},
-        {"name": "gh_member", "pass": w["gh"],
-         "witness": {"intersection": w["gh_intersection"][:8]}},
-        {"name": "fh_non_member", "pass": not w["fh"],
-         "witness": {"intersection": w["fh_intersection"]}},
-        {"name": "membership_pattern", "pass": (w["fg"], w["gh"], w["fh"]) == (True, True, False)},
-    ]
-
-
-def _z_checks() -> list:
-    return [
-        {"name": "member_2_5", "pass": infinite.zdiag_member(2, 5)},
-        {"name": "non_member_5_2", "pass": not infinite.zdiag_member(5, 2)},
-        {"name": "diagonal", "pass": all(infinite.zdiag_member(k, k) for k in range(-5, 6))},
-    ]
-
-
 def cmd_models(args) -> int:
-    suites = {
-        "bicyclic": _bicyclic_checks,
-        "bruck-reilly": _bruck_reilly_checks,
-        "baer-levi": _baer_levi_checks,
-        "z": _z_checks,
-    }
-    checks = suites[args.name]()
+    checks = infinite.MODELS[args.name]()
     _emit({"model": args.name, "checks": checks}, args.pretty)
     return 0 if all(c["pass"] for c in checks) else 1
 
@@ -355,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_byleen)
 
     p = sub.add_parser("models", help="run an infinite-model witness suite")
-    p.add_argument("name", choices=["bicyclic", "bruck-reilly", "baer-levi", "z"])
+    p.add_argument("name", choices=list(infinite.MODELS))
     p.add_argument("--pretty", action="store_true")
     p.set_defaults(func=cmd_models)
     return parser

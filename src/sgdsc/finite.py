@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -59,13 +59,21 @@ class FiniteSemigroup:
 def validate_cayley(order: int,
                     table: Sequence[Sequence[int]],
                     names: Optional[Sequence[str]] = None) -> FiniteSemigroup:
-    """Validate dimensions, entry range and full associativity (order^3 triples)."""
-    if order < 1:
-        raise SemigroupError("order must be positive")
+    """Validate types, dimensions, entry range and full associativity (order^3 triples).
+
+    Integers must be plain ints: bools and floats are rejected.
+    """
+    if type(order) is not int or order < 1:
+        raise SemigroupError("order must be a positive integer")
+    if not isinstance(table, (list, tuple)) \
+            or not all(isinstance(row, (list, tuple)) for row in table):
+        raise SemigroupError("table must be a list of rows")
     if len(table) != order or any(len(row) != order for row in table):
         raise SemigroupError("table dimensions do not match order")
     for row in table:
         for e in row:
+            if type(e) is not int:
+                raise SemigroupError(f"table entry {e!r} is not an integer")
             if not (0 <= e < order):
                 raise OutOfRange(e)
     for i in range(order):
@@ -76,6 +84,8 @@ def validate_cayley(order: int,
                     raise NonAssociative(i, j, k)
     if names is None:
         names = [f"x{i}" for i in range(order)]
+    if not isinstance(names, (list, tuple)) or not all(isinstance(nm, str) for nm in names):
+        raise SemigroupError("names must be a list of strings")
     if len(names) != order:
         raise SemigroupError("names length does not match order")
     return FiniteSemigroup(order, tuple(tuple(row) for row in table), tuple(names))

@@ -3,31 +3,21 @@
 Covers the bicyclic monoid with its natural partial order, Bruck-Reilly
 extensions over finite base monoids, the integer-order relation, and a fully
 symbolic countable Baer-Levi semigroup whose elements carry their exact image
-complements as decidable arithmetic-progression sets.
+complements as decidable arithmetic-progression sets.  The witness suite of
+each model is defined here, once, for the CLI and the tests.
 """
 
 from __future__ import annotations
 
 import math
-import os
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .finite import EndomorphismTable, SemigroupError
-
-
-DEFAULT_WINDOW = 10_000
-
-
-def window() -> int:
-    return int(os.environ.get("SG_WINDOW", DEFAULT_WINDOW))
+from .finite import EndomorphismTable, SemigroupError, cyclic_group
 
 
 class ThetaMismatch(SemigroupError):
-    pass
-
-
-class NotClosed(SemigroupError):
     pass
 
 
@@ -117,87 +107,78 @@ def zdiag_member(x: int, y: int) -> bool:
 # ---------------------------------------------------------------------------
 # Arithmetic-progression sets over the naturals
 
-@dataclass(frozen=True)
+def _least_period(modulus: int, residues: set[int]) -> int:
+    """Least divisor d of modulus with residues + d = residues (mod modulus)."""
+    return next(d for d in range(1, modulus + 1) if modulus % d == 0
+                and all((r + d) % modulus in residues for r in residues))
+
+
+@dataclass(frozen=True, init=False)
 class APSet:
-    """Finite union of full residue classes over N, with finite patches.
+    """The set (progressions ∪ plus) - minus of naturals, in normal form.
 
-    n is a member iff (n matches some progression or n in plus) and
-    n not in minus.
+    Normal form: one least modulus, `plus` outside the residue classes and
+    `minus` inside them; so membership is one lookup and equal sets are equal.
     """
-    progressions: tuple[tuple[int, int], ...] = ()
-    plus: frozenset[int] = frozenset()
-    minus: frozenset[int] = frozenset()
+    modulus: int
+    residues: frozenset[int]
+    plus: frozenset[int]
+    minus: frozenset[int]
 
-    def __post_init__(self):
-        for (m, r) in self.progressions:
-            if m < 1:
-                raise SemigroupError("progression modulus must be positive")
-        if self.plus & self.minus:
-            raise SemigroupError("plus and minus must be disjoint")
+    def __init__(self, progressions=(), plus=(), minus=()):
+        if any(m < 1 for (m, _) in progressions):
+            raise SemigroupError("progression modulus must be positive")
+        big = math.lcm(*(m for (m, _) in progressions))
+        classes = {x for (m, r) in progressions for x in range(r % m, big, m)}
+        modulus = _least_period(big, classes)
+        residues = frozenset(r % modulus for r in classes)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "residues", residues)
+        object.__setattr__(self, "plus", frozenset(
+            n for n in plus if n >= 0 and n % modulus not in residues and n not in minus))
+        object.__setattr__(self, "minus", frozenset(
+            n for n in minus if n >= 0 and n % modulus in residues))
 
-    def matches_progression(self, n: int) -> bool:
-        return any(n % m == r % m for (m, r) in self.progressions)
+    @property
+    def progressions(self) -> tuple[tuple[int, int], ...]:
+        return tuple((self.modulus, r) for r in sorted(self.residues))
 
     def member(self, n: int) -> bool:
         if n < 0:
             return False
-        return (self.matches_progression(n) or n in self.plus) and n not in self.minus
-
-    def is_empty(self) -> bool:
-        # minus is finite, so any progression keeps the set infinite
-        return not self.progressions and not self.plus
+        if n % self.modulus in self.residues:
+            return n not in self.minus
+        return n in self.plus
 
     def is_infinite(self) -> bool:
-        return bool(self.progressions)
+        return bool(self.residues)
 
     def sample(self, upto: int) -> list[int]:
         return [n for n in range(upto + 1) if self.member(n)]
 
 
-def apset_normalize(progressions, plus, minus) -> APSet:
-    progs = tuple(sorted({(m, r % m) for (m, r) in progressions}))
-    tmp = APSet(progs)
-    plus = frozenset(n for n in plus if n >= 0 and not tmp.matches_progression(n))
-    minus = frozenset(n for n in minus
-                      if n >= 0 and (tmp.matches_progression(n) or n in plus))
-    plus -= minus
-    return APSet(progs, plus, minus)
-
-
-def _crt(m1: int, r1: int, m2: int, r2: int) -> Optional[tuple[int, int]]:
-    g = math.gcd(m1, m2)
-    if (r1 - r2) % g != 0:
-        return None
-    lcm = m1 // g * m2
-    t = ((r2 - r1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g) if m2 != g else 0
-    return lcm, (r1 + m1 * t) % lcm
+def _combine(a: APSet, b: APSet, op) -> APSet:
+    # op acts on residue sets and on membership bits alike; off the patches
+    # membership is class membership, so only patch points are rechecked
+    big = math.lcm(a.modulus, b.modulus)
+    classes = op(*({r + k for r in s.residues for k in range(0, big, s.modulus)}
+                   for s in (a, b)))
+    points = a.plus | a.minus | b.plus | b.minus
+    plus = {n for n in points if op(a.member(n), b.member(n))}
+    return APSet([(big, r) for r in classes], plus, points - plus)
 
 
 def apset_intersect(a: APSet, b: APSet) -> APSet:
-    progs = []
-    for (m1, r1) in a.progressions:
-        for (m2, r2) in b.progressions:
-            c = _crt(m1, r1 % m1, m2, r2 % m2)
-            if c is not None:
-                progs.append(c)
-    plus = {n for n in a.plus | b.plus if a.member(n) and b.member(n)}
-    minus = {n for n in a.minus | b.minus if not (a.member(n) and b.member(n))}
-    return apset_normalize(progs, plus, minus)
+    return _combine(a, b, operator.and_)
 
 
 def apset_union(a: APSet, b: APSet) -> APSet:
-    progs = list(a.progressions) + list(b.progressions)
-    plus = {n for n in a.plus | b.plus if a.member(n) or b.member(n)}
-    minus = {n for n in a.minus | b.minus if not (a.member(n) or b.member(n))}
-    return apset_normalize(progs, plus, minus)
+    return _combine(a, b, operator.or_)
 
 
 def apset_is_empty(a: APSet) -> bool:
-    return apset_normalize(a.progressions, a.plus, a.minus).is_empty()
-
-
-def apset_member(a: APSet, n: int) -> bool:
-    return a.member(n)
+    # minus is finite, so any residue class keeps the set infinite
+    return not a.residues and not a.plus
 
 
 # ---------------------------------------------------------------------------
@@ -207,41 +188,40 @@ def apset_member(a: APSet, n: int) -> bool:
 class CoInjection:
     """Injection given by residue-affine pieces plus finite patches.
 
-    Unpatched k = modulus*q + r maps to stride*q + offsets[r].  The exact
-    image complement travels with the map as an APSet; construction validates
-    injectivity and the complement on [0, window].
+    Unpatched k = modulus*q + r maps to stride*q + offsets[r]; a patched
+    source maps to its target.  Construction checks injectivity exactly and
+    derives the image complement in closed form.
     """
     modulus: int
     stride: int
     offsets: tuple[int, ...]
     patches: tuple[tuple[int, int], ...]
-    complement: APSet
-    validate_window: Optional[int] = None
+    complement: APSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.modulus < 1 or self.stride < 1:
             raise SemigroupError("modulus and stride must be positive")
         if len(self.offsets) != self.modulus:
             raise SemigroupError("need one offset per residue")
-        w = self.validate_window if self.validate_window is not None else window()
-        if any(src > w for (src, _) in self.patches):
-            raise SemigroupError("patch sources must lie inside the validation window")
-        seen: dict[int, int] = {}
-        image = set()
-        for k in range(w + 1):
-            v = self.apply(k)
-            if v < 0:
-                raise SemigroupError(f"map leaves N at {k}")
-            if v in seen:
-                raise SemigroupError(f"not injective: {seen[v]} and {k} both map to {v}")
-            seen[v] = k
-            image.add(v)
-        # inputs beyond the window only produce values >= horizon, so membership
-        # of anything below it is fully decided by the window scan
-        horizon = self.stride * ((w + 1) // self.modulus)
-        for v in range(min(horizon, w + 1)):
-            if self.complement.member(v) != (v not in image):
-                raise SemigroupError(f"stored complement wrong at {v}")
+        # two pieces in one class mod stride meet infinitely often
+        hit = {o % self.stride for o in self.offsets}
+        if min(self.offsets) < 0 or len(hit) != self.modulus:
+            raise SemigroupError("offsets must be naturals, distinct mod stride")
+        sources, targets = [p[0] for p in self.patches], [p[1] for p in self.patches]
+        for points in (sources, targets):
+            if min(points, default=0) < 0 or len(set(points)) != len(points):
+                raise SemigroupError("patch sources and targets must be distinct naturals")
+        for dst in targets:
+            k = self._piece_preimage(dst)
+            if k is not None and k not in sources:
+                raise SemigroupError(f"not injective: unpatched {k} also maps to {dst}")
+        # image = pieces(N) - pieces(sources) + targets, so the complement is
+        # the classes no piece hits, each hit class below its offset, and the
+        # sources' piece values, less the targets
+        unhit = [(self.stride, c) for c in range(self.stride) if c not in hit]
+        below = [v for o in self.offsets for v in range(o % self.stride, o, self.stride)]
+        moved = [self.piece_apply(src) for src in sources]
+        object.__setattr__(self, "complement", APSet(unhit, below + moved, targets))
 
     def piece_apply(self, k: int) -> int:
         q, r = divmod(k, self.modulus)
@@ -253,80 +233,35 @@ class CoInjection:
                 return dst
         return self.piece_apply(k)
 
+    def _piece_preimage(self, v: int) -> Optional[int]:
+        for r, o in enumerate(self.offsets):
+            if v >= o and (v - o) % self.stride == 0:
+                return self.modulus * ((v - o) // self.stride) + r
+        return None
+
     def preimage(self, v: int) -> Optional[int]:
         """The unique k with apply(k) = v, or None; exact."""
-        patched = {src for (src, _) in self.patches}
         for (src, dst) in self.patches:
             if dst == v:
                 return src
-        for r in range(self.modulus):
-            d = v - self.offsets[r]
-            if d >= 0 and d % self.stride == 0:
-                k = self.modulus * (d // self.stride) + r
-                if k not in patched:
-                    return k
-        return None
+        k = self._piece_preimage(v)
+        return None if any(src == k for (src, _) in self.patches) else k
 
 
 def co_identity() -> CoInjection:
-    return CoInjection(1, 1, (0,), (), APSet())
-
-
-def apset_image(f: CoInjection, s: APSet) -> APSet:
-    """Exact image {f(n) : n in s} as an APSet."""
-    progs = []
-    minus_candidates: set[int] = set()
-    plus_candidates: set[int] = set()
-    for (m, r) in s.progressions:
-        r %= m
-        big = m * f.modulus // math.gcd(m, f.modulus)
-        step = f.stride * (big // f.modulus)
-        for rho in range(r, big, m):
-            start = f.piece_apply(rho)
-            progs.append((step, start % step))
-            # class members below the first attained value
-            minus_candidates.update(range(start % step, start, step))
-    patched = {src for (src, _) in f.patches}
-    for n in patched:
-        if s.matches_progression(n):
-            minus_candidates.add(f.piece_apply(n))
-        if s.member(n):
-            plus_candidates.add(f.apply(n))
-    for n in s.minus:
-        if s.matches_progression(n):
-            minus_candidates.add(f.piece_apply(n))
-    for n in s.plus:
-        plus_candidates.add(f.apply(n))
-
-    def in_image(v: int) -> bool:
-        k = f.preimage(v)
-        return k is not None and s.member(k)
-
-    tmp = APSet(tuple(sorted(set(progs))))
-    plus = {v for v in plus_candidates if in_image(v) and not tmp.matches_progression(v)}
-    minus = {v for v in minus_candidates if tmp.matches_progression(v) and not in_image(v)}
-    return apset_normalize(tmp.progressions, plus, minus)
+    return CoInjection(1, 1, (0,), ())
 
 
 def co_compose(f: CoInjection, g: CoInjection) -> CoInjection:
-    """Composite "apply f, then g", with the exact composed complement."""
+    """Composite "apply f, then g"; its complement follows from its pieces."""
     m = f.modulus * g.modulus
     stride = f.stride * g.stride
     offsets = tuple(g.piece_apply(f.piece_apply(rho)) for rho in range(m))
     # divisibility making per-residue offsets well-defined: g.modulus | f.stride*g.modulus
-    keys = {src for (src, _) in f.patches}
-    for (gsrc, _) in g.patches:
-        k = f.preimage(gsrc)
-        if k is not None:
-            keys.add(k)
-    patches = []
-    for k in sorted(keys):
-        v = g.apply(f.apply(k))
-        q, r = divmod(k, m)
-        if stride * q + offsets[r] != v:
-            patches.append((k, v))
-    complement = apset_union(g.complement, apset_image(g, f.complement))
-    return CoInjection(m, stride, offsets, tuple(patches), complement)
+    keys = {src for (src, _) in f.patches} | {f.preimage(src) for (src, _) in g.patches}
+    patches = tuple((k, v) for k in sorted(keys - {None})
+                    if (v := g.apply(f.apply(k))) != stride * (k // m) + offsets[k % m])
+    return CoInjection(m, stride, offsets, patches)
 
 
 # ---------------------------------------------------------------------------
@@ -339,24 +274,88 @@ def baer_levi_witness() -> dict:
     B' = {n = 1 mod 4} for h.  Pairs lie in rho exactly when the two image
     complements intersect.
     """
-    a_prime = APSet(((4, 0),))
-    b_prime = APSet(((4, 1),))
-    f = CoInjection(3, 4, (1, 2, 3), (), a_prime)
-    g = CoInjection(3, 4, (2, 3, 4), ((0, 0), (1, 2), (2, 3)),
-                    apset_normalize([(4, 1)], {4}, set()))
-    h = CoInjection(3, 4, (0, 2, 3), (), b_prime)
+    f = CoInjection(3, 4, (1, 2, 3), ())
+    g = CoInjection(3, 4, (2, 3, 4), ((0, 0), (1, 2), (2, 3)))
+    h = CoInjection(3, 4, (0, 2, 3), ())
+    paper = (APSet(((4, 0),)), APSet(((4, 1),), {4}), APSet(((4, 1),)))
+    if (f.complement, g.complement, h.complement) != paper:
+        raise SemigroupError("derived image complements differ from A', B' ∪ {4}, B'")
 
     def rho_member(x: CoInjection, y: CoInjection) -> bool:
         return not apset_is_empty(apset_intersect(x.complement, y.complement))
 
-    probe = 40
     return {
         "f": f, "g": g, "h": h,
         "rho_member": rho_member,
         "fg": rho_member(f, g),
         "gh": rho_member(g, h),
         "fh": rho_member(f, h),
-        "fg_intersection": apset_intersect(f.complement, g.complement).sample(probe),
-        "gh_intersection": apset_intersect(g.complement, h.complement).sample(probe),
-        "fh_intersection": apset_intersect(f.complement, h.complement).sample(probe),
+        "fg_intersection": apset_intersect(f.complement, g.complement).sample(40),
+        "gh_intersection": apset_intersect(g.complement, h.complement).sample(40),
+        "fh_intersection": apset_intersect(f.complement, h.complement).sample(40),
     }
+
+
+# ---------------------------------------------------------------------------
+# Model witness suites: lists of {"name", "pass"[, "witness"]} checks
+
+def bicyclic_checks() -> list:
+    bound = 6
+    elems = [BicyclicElement(m, n) for m in range(bound + 1) for n in range(bound + 1)]
+    leq = bicyclic_leq
+    checks = [
+        ("reflexive", all(leq(x, x) for x in elems)),
+        ("antisymmetric", all(not (leq(x, y) and leq(y, x)) or x == y
+                              for x in elems for y in elems)),
+        ("transitive", all(not (leq(x, y) and leq(y, z)) or leq(x, z)
+                           for x in elems for y in elems for z in elems)),
+        ("compatible", all(not (leq(x, y) and leq(xp, yp))
+                           or leq(bicyclic_mul(x, xp), bicyclic_mul(y, yp))
+                           for x in elems for y in elems
+                           for xp in elems for yp in elems)),
+        ("closed_form_matches_search",
+         all(leq(x, y) == bicyclic_leq_search(x, y, 2 * bound + 2)
+             for x in elems for y in elems)),
+    ]
+    one_one, zero = BicyclicElement(1, 1), BicyclicElement(0, 0)
+    checks.append(("order_asymmetry_witness", leq(one_one, zero) and not leq(zero, one_one)))
+    return [{"name": n, "pass": bool(ok)} for (n, ok) in checks]
+
+
+def bruck_reilly_checks() -> list:
+    checks = []
+    for tag, mapping in (("theta_identity", (0, 1)), ("theta_constant", (0, 0))):
+        theta = EndomorphismTable(cyclic_group(2), mapping)
+        elems = [BRElement(m, s, n, theta) for m in range(6) for s in range(2) for n in range(6)]
+        hom = all(br_project(br_mul(x, y)) == bicyclic_mul(br_project(x), br_project(y))
+                  for x in elems for y in elems)
+        checks.append({"name": f"projection_homomorphism_{tag}", "pass": bool(hom)})
+        hi, lo = BRElement(1, 1, 1, theta), BRElement(0, 0, 0, theta)
+        checks.append({"name": f"pulled_back_order_asymmetry_{tag}",
+                       "pass": bool(br_order_member(hi, lo) and not br_order_member(lo, hi))})
+    return checks
+
+
+def baer_levi_checks() -> list:
+    w = baer_levi_witness()
+    return [
+        {"name": "fg_member", "pass": w["fg"],
+         "witness": {"intersection": w["fg_intersection"]}},
+        {"name": "gh_member", "pass": w["gh"],
+         "witness": {"intersection": w["gh_intersection"][:8]}},
+        {"name": "fh_non_member", "pass": not w["fh"],
+         "witness": {"intersection": w["fh_intersection"]}},
+        {"name": "membership_pattern", "pass": (w["fg"], w["gh"], w["fh"]) == (True, True, False)},
+    ]
+
+
+def z_checks() -> list:
+    return [
+        {"name": "member_2_5", "pass": zdiag_member(2, 5)},
+        {"name": "non_member_5_2", "pass": not zdiag_member(5, 2)},
+        {"name": "diagonal", "pass": all(zdiag_member(k, k) for k in range(-5, 6))},
+    ]
+
+
+MODELS = {"bicyclic": bicyclic_checks, "bruck-reilly": bruck_reilly_checks,
+          "baer-levi": baer_levi_checks, "z": z_checks}

@@ -210,29 +210,8 @@ def test_criterion_7_inverses():
 
 
 def test_criterion_8_infinite_models():
-    bound = 6
-    elems = [infinite.BicyclicElement(m, n)
-             for m in range(bound + 1) for n in range(bound + 1)]
-    leq = infinite.bicyclic_leq
-    assert all(leq(x, x) for x in elems)
-    assert all(not (leq(x, y) and leq(y, x)) or x == y
-               for x in elems for y in elems)
-    assert all(not (leq(x, y) and leq(y, z)) or leq(x, z)
-               for x in elems for y in elems for z in elems)
-    assert all(not (leq(x, y) and leq(xp, yp))
-               or leq(infinite.bicyclic_mul(x, xp), infinite.bicyclic_mul(y, yp))
-               for x in elems for y in elems for xp in elems for yp in elems)
-    assert all(leq(x, y) == infinite.bicyclic_leq_search(x, y, 2 * bound + 2)
-               for x in elems for y in elems)
-
-    for mapping in ((0, 1), (0, 0)):
-        theta = finite.EndomorphismTable(finite.cyclic_group(2), mapping)
-        br = [infinite.BRElement(m, s, n, theta)
-              for m in range(6) for s in range(2) for n in range(6)]
-        assert all(infinite.br_project(infinite.br_mul(x, y))
-                   == infinite.bicyclic_mul(infinite.br_project(x),
-                                            infinite.br_project(y))
-                   for x in br for y in br)
+    for name, suite in infinite.MODELS.items():
+        assert all(c["pass"] for c in suite()), name
 
     w = infinite.baer_levi_witness()
     pattern = (w["fg"], w["gh"], w["fh"])
@@ -241,7 +220,7 @@ def test_criterion_8_infinite_models():
     assert set(w["gh_intersection"]) >= {n for n in range(41) if n % 4 == 1}
     assert infinite.apset_is_empty(
         infinite.apset_intersect(w["f"].complement, w["h"].complement))
-    _line(8, True, f"bicyclic window + BR homomorphism + Baer-Levi {pattern}")
+    _line(8, True, f"model suites {sorted(infinite.MODELS)} + Baer-Levi {pattern}")
 
 
 def _all_congruences(s):

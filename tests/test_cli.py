@@ -50,9 +50,26 @@ def test_check_strict_fails_on_non_group(capsys, table_file):
 
 def test_check_malformed_json(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    code, _, err = run(capsys, ["check", str(path)])
-    assert code == 2
+    # bad JSON, bytes that are not UTF-8, arrays nested past the recursion limit
+    for content in (b"{not json", b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000):
+        path.write_bytes(content)
+        code, _, err = run(capsys, ["check", str(path)])
+        assert code == 2
+        assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("doc", [
+    {"order": 2, "table": [["0", 1], [1, 0]]},
+    {"order": 2, "table": [[0.0, 1], [1, 0]]},
+    {"order": 2, "table": 5},
+    {"order": True, "table": [[0]]},
+    {"order": 2, "table": [[0, 1], [1, 0]], "names": [1, 2]},
+], ids=["string-entry", "float-entry", "table-not-list", "bool-order", "int-names"])
+def test_check_rejects_malformed_table(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["check", str(path)])
+    assert code == 2 and out == ""
     assert "error" in json.loads(err)
 
 
@@ -104,6 +121,13 @@ def test_enumerate_count(capsys):
 def test_enumerate_cap(capsys):
     code, _, err = run(capsys, ["enumerate", "5"])
     assert code == 2
+    assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("n", ["-1", "0"])
+def test_enumerate_rejects_non_positive(capsys, n):
+    code, out, err = run(capsys, ["enumerate", n])
+    assert code == 2 and out == ""
     assert "error" in json.loads(err)
 
 

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sgdsc import finite, infinite
 from sgdsc.infinite import APSet, BicyclicElement, BRElement, CoInjection
@@ -96,12 +97,12 @@ def test_apset_intersect_disjoint_residues():
 
 def test_apset_intersect_patch_survives():
     a = APSet(((4, 0),))
-    b = infinite.apset_normalize([(4, 1)], {4}, set())
+    b = APSet(((4, 1),), {4})
     got = infinite.apset_intersect(a, b)
     assert got.sample(100) == [4]
 
 
-def test_apset_intersect_crt():
+def test_apset_intersect_lcm_modulus():
     got = infinite.apset_intersect(APSet(((2, 0),)), APSet(((3, 0),)))
     assert got.sample(30) == [0, 6, 12, 18, 24, 30]
 
@@ -112,6 +113,14 @@ def test_apset_union_and_membership():
     assert u.is_infinite()
 
 
+def test_apset_normal_form():
+    assert APSet(((8, 0), (8, 4))) == APSet(((4, 0),))
+    assert APSet(((2, 0), (2, 1))).progressions == ((1, 0),)
+    s = APSet(((4, 1),), {1, 3, 4, -2}, {4, 5, 9})
+    assert (s.modulus, s.plus, s.minus) == (4, frozenset({3}), frozenset({5, 9}))
+    assert s.sample(13) == [1, 3, 13]
+
+
 def test_coinjection_identity():
     ident = infinite.co_identity()
     assert [ident.apply(k) for k in range(5)] == [0, 1, 2, 3, 4]
@@ -120,17 +129,30 @@ def test_coinjection_identity():
 
 def test_coinjection_rejects_non_injective():
     with pytest.raises(finite.SemigroupError):
-        CoInjection(2, 1, (0, 0), (), APSet(), validate_window=50)
+        CoInjection(2, 1, (0, 0), ())
 
 
-def test_coinjection_rejects_wrong_complement():
+@pytest.mark.parametrize("args", [
+    (2, 4, (0, 4), ()),                   # offsets congruent mod stride
+    (1, 1, (-1,), ()),                    # negative offset
+    (1, 2, (0,), ((0, 5), (0, 7))),       # duplicate patch sources
+    (1, 2, (0,), ((0, 5), (1, 5))),       # duplicate patch targets
+    (1, 2, (0,), ((-1, 5),)),             # negative patch source
+    (1, 1, (0,), ((0, 1),)),              # target is the unpatched value of 1
+], ids=["offsets-congruent", "negative-offset", "duplicate-sources",
+        "duplicate-targets", "negative-source", "target-hits-unpatched"])
+def test_coinjection_rejects_non_injective_data(args):
     with pytest.raises(finite.SemigroupError):
-        # doubling map, complement wrongly claimed empty
-        CoInjection(1, 2, (0,), (), APSet(), validate_window=50)
+        CoInjection(*args)
+
+
+def test_coinjection_doubling_complement_is_odd():
+    doubling = CoInjection(1, 2, (0,), ())
+    assert doubling.complement == APSet(((2, 1),))
 
 
 def test_coinjection_preimage():
-    f = CoInjection(3, 4, (1, 2, 3), (), APSet(((4, 0),)), validate_window=200)
+    f = CoInjection(3, 4, (1, 2, 3), ())
     for k in range(100):
         assert f.preimage(f.apply(k)) == k
     assert f.preimage(0) is None  # 0 is in the complement
@@ -199,8 +221,18 @@ def test_baer_levi_rho_closed_under_products():
             checked += 1
 
 
-def test_window_env_override(monkeypatch):
-    monkeypatch.setenv("SG_WINDOW", "123")
-    assert infinite.window() == 123
-    monkeypatch.delenv("SG_WINDOW")
-    assert infinite.window() == infinite.DEFAULT_WINDOW
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from("fgh"), min_size=1, max_size=4))
+def test_derived_complement_matches_image_scan(names):
+    w = infinite.baer_levi_witness()
+    comp = w[names[0]]
+    for name in names[1:]:
+        comp = infinite.co_compose(comp, w[name])
+    scanned = comp.modulus * 8 + max((src for (src, _) in comp.patches), default=0)
+    image = [comp.apply(k) for k in range(scanned + 1)]
+    assert len(set(image)) == len(image)
+    image = set(image)
+    # unscanned inputs are unpatched, so they map to stride*q + offset >= horizon
+    horizon = comp.stride * ((scanned + 1) // comp.modulus)
+    for v in range(horizon):
+        assert comp.complement.member(v) == (v not in image)
