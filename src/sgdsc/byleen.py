@@ -12,7 +12,7 @@ the identity of S.
 
 Every certificate-producing operation (the six claims, span_witness,
 express_pair, inverse_of) re-verifies its output by evaluation before
-returning it.
+returning it, and raises CertificateError if the re-check fails.
 """
 
 from __future__ import annotations
@@ -37,6 +37,16 @@ class MatrixMismatch(SemigroupError):
 
 class NotRegularBase(SemigroupError):
     pass
+
+
+class CertificateError(SemigroupError):
+    """A certificate failed its re-check by evaluation."""
+
+
+def _certify(ok: bool, what: str) -> None:
+    # an explicit raise, so the re-check also runs under python -O
+    if not ok:
+        raise CertificateError(f"certificate re-check failed: {what}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +180,7 @@ class TwoTransitiveMatrix:
         t = _encode((_COL, a1.n, a1.s, a2.n, a2.s,
                      self.w_index(c1), self.w_index(c2), skip))
         b = BLetter(t + 1, self.identity)
-        assert self.entry(a1, b) == c1 and self.entry(a2, b) == c2
+        _certify(self.entry(a1, b) == c1 and self.entry(a2, b) == c2, "find_column")
         return b
 
     def find_row(self, b1: BLetter, b2: BLetter, c1: Letter, c2: Letter,
@@ -181,7 +191,7 @@ class TwoTransitiveMatrix:
         t = _encode((_ROW, b1.n, b1.s, b2.n, b2.s,
                      self.w_index(c1), self.w_index(c2), skip))
         a = ALetter(t + 1, self.identity)
-        assert self.entry(a, b1) == c1 and self.entry(a, b2) == c2
+        _certify(self.entry(a, b1) == c1 and self.entry(a, b2) == c2, "find_row")
         return a
 
 
@@ -341,7 +351,7 @@ def claim1(m: TwoTransitiveMatrix, u: Sequence[ALetter]) -> NormalForm:
         b = m.find_column(a, _other_a(m, a), val, val)
         val = b
     lam = b_word_nf(m, (b,))
-    assert reduce(m, list(u) + [b]).is_identity()
+    _certify(reduce(m, list(u) + [b]).is_identity(), "claim1")
     return lam
 
 
@@ -355,9 +365,9 @@ def claim2(m: TwoTransitiveMatrix, u: Sequence[ALetter],
     left = reduce(m, list(u) + lam.letters())
     right = reduce(m, list(x) + lam.letters())
     if side == "left":
-        assert left.is_identity() and right == a_word_nf(m, p)
+        _certify(left.is_identity() and right == a_word_nf(m, p), "claim2")
     else:
-        assert right.is_identity() and left == a_word_nf(m, p)
+        _certify(right.is_identity() and left == a_word_nf(m, p), "claim2")
     return lam, side, p
 
 
@@ -402,8 +412,8 @@ def claim3(m: TwoTransitiveMatrix, u: Sequence[ALetter], x: Sequence[ALetter],
         a_star = m.find_row(bn, b0, w2, w1)
     mu = a_word_nf(m, (a_star,))
     lam = nf_mul(lam2, b_word_nf(m, (bn,)))
-    assert nf_mul(nf_mul(mu, a_word_nf(m, u)), lam) == letter_nf(m, w1)
-    assert nf_mul(nf_mul(mu, a_word_nf(m, x)), lam) == letter_nf(m, w2)
+    _certify(nf_mul(nf_mul(mu, a_word_nf(m, u)), lam) == letter_nf(m, w1)
+             and nf_mul(nf_mul(mu, a_word_nf(m, x)), lam) == letter_nf(m, w2), "claim3")
     return mu, lam
 
 
@@ -418,7 +428,7 @@ def claim4(m: TwoTransitiveMatrix, v: Sequence[BLetter]) -> NormalForm:
         a = m.find_row(b, _other_b(m, b), val, val)
         val = a
     mu = a_word_nf(m, (a,))
-    assert reduce(m, [a] + list(v)).is_identity()
+    _certify(reduce(m, [a] + list(v)).is_identity(), "claim4")
     return mu
 
 
@@ -432,9 +442,9 @@ def claim5(m: TwoTransitiveMatrix, v: Sequence[BLetter],
     left = nf_mul(mu, b_word_nf(m, v))
     right = nf_mul(mu, b_word_nf(m, y))
     if side == "left":
-        assert left.is_identity() and right == b_word_nf(m, q)
+        _certify(left.is_identity() and right == b_word_nf(m, q), "claim5")
     else:
-        assert right.is_identity() and left == b_word_nf(m, q)
+        _certify(right.is_identity() and left == b_word_nf(m, q), "claim5")
     return mu, side, q
 
 
@@ -469,8 +479,8 @@ def claim6(m: TwoTransitiveMatrix, v: Sequence[BLetter], y: Sequence[BLetter],
         b = m.find_column(a_star, a0, w2, w1)
     mu = nf_mul(a_word_nf(m, (a_star,)), mu5)
     lam = b_word_nf(m, (b,))
-    assert nf_mul(nf_mul(mu, b_word_nf(m, v)), lam) == letter_nf(m, w1)
-    assert nf_mul(nf_mul(mu, b_word_nf(m, y)), lam) == letter_nf(m, w2)
+    _certify(nf_mul(nf_mul(mu, b_word_nf(m, v)), lam) == letter_nf(m, w1)
+             and nf_mul(nf_mul(mu, b_word_nf(m, y)), lam) == letter_nf(m, w2), "claim6")
     return mu, lam
 
 
@@ -486,7 +496,7 @@ def _back_chain(m: TwoTransitiveMatrix, q: Sequence[BLetter], a0: ALetter) -> AL
                 break
             skip += 1
         nxt = cur
-    assert reduce(m, [nxt] + letters) == letter_nf(m, a0)
+    _certify(reduce(m, [nxt] + letters) == letter_nf(m, a0), "back chain")
     return nxt
 
 
@@ -572,7 +582,7 @@ def span_witness(m: TwoTransitiveMatrix, g: NormalForm, h: NormalForm,
         case = "both-differ"
     expr = PairExpr(factors, (g, h), case)
     got = expr.evaluate()
-    assert got == (letter_nf(m, w1), letter_nf(m, w2)), case
+    _certify(got == (letter_nf(m, w1), letter_nf(m, w2)), f"span_witness ({case})")
     return expr
 
 
@@ -590,7 +600,7 @@ def express_pair(m: TwoTransitiveMatrix, g: NormalForm, h: NormalForm,
     for w in q.letters():
         factors.extend(span_witness(m, g, h, one, w).factors)
     expr = PairExpr(tuple(factors), (g, h), "express")
-    assert expr.evaluate() == (p, q)
+    _certify(expr.evaluate() == (p, q), "express_pair")
     return expr
 
 
@@ -609,6 +619,5 @@ def inverse_of(m: TwoTransitiveMatrix, t: NormalForm,
     x = tuple(m.find_row(b, _other_b(m, b), one, one) for b in reversed(t.v))
     y = tuple(m.find_column(a, _other_a(m, a), one, one) for a in reversed(t.u))
     inv = NormalForm(y, s_inv, x, m)
-    assert nf_mul(nf_mul(t, inv), t) == t
-    assert nf_mul(nf_mul(inv, t), inv) == inv
+    _certify(nf_mul(nf_mul(t, inv), t) == t and nf_mul(nf_mul(inv, t), inv) == inv, "inverse_of")
     return inv

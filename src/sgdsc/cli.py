@@ -228,7 +228,7 @@ def cmd_byleen(args) -> int:
     except (ValueError, IndexError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    except (byleen.EqualElements, byleen.NotRegularBase) as exc:
+    except (byleen.EqualElements, byleen.NotRegularBase, byleen.CertificateError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     return 0
@@ -252,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="validate a Cayley table and run DSC checks")
     p.add_argument("path")
     p.add_argument("--brute", action="store_true")
-    p.add_argument("--witness", action="store_true")
+    p.add_argument("--witness", action="store_true",
+                   help="accepted for compatibility; the DSC witness is always "
+                        "emitted for a non-group")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--pretty", action="store_true")
     p.add_argument("--timing", action="store_true")

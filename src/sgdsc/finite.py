@@ -8,8 +8,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Container, Hashable, Iterable, Iterator, Optional, Sequence
+
+# Largest order from_json accepts; checked before any table loop runs.
+MAX_ORDER = 1024
 
 
 class SemigroupError(Exception):
@@ -59,9 +63,14 @@ class FiniteSemigroup:
 def validate_cayley(order: int,
                     table: Sequence[Sequence[int]],
                     names: Optional[Sequence[str]] = None) -> FiniteSemigroup:
-    """Validate types, dimensions, entry range and full associativity (order^3 triples).
+    """Validate types, dimensions, entry range and associativity.
 
-    Integers must be plain ints: bools and floats are rejected.
+    Integers must be plain ints: bools and floats are rejected.  Associativity
+    is Light's test over a greedy generating set G: (x·g)·y == x·(g·y) for
+    g in G and all x, y, which costs |G|·order^2 instead of order^3.  The
+    elements passing it for all x, y form a subset closed under the product,
+    so once G passes, every product of generators -- all of S -- does too.
+    On failure the full triple scan names the lexicographically first triple.
     """
     if type(order) is not int or order < 1:
         raise SemigroupError("order must be a positive integer")
@@ -76,19 +85,78 @@ def validate_cayley(order: int,
                 raise SemigroupError(f"table entry {e!r} is not an integer")
             if not (0 <= e < order):
                 raise OutOfRange(e)
-    for i in range(order):
-        for j in range(order):
-            ij = table[i][j]
-            for k in range(order):
-                if table[ij][k] != table[i][table[j][k]]:
-                    raise NonAssociative(i, j, k)
+    rows = tuple(tuple(row) for row in table)
+    gens = greedy_generators(range(order), lambda x, g: rows[x][g], range(order))
+    if not all(_light_test(rows, g) for g in gens):
+        _raise_first_non_associative(rows)
     if names is None:
         names = [f"x{i}" for i in range(order)]
     if not isinstance(names, (list, tuple)) or not all(isinstance(nm, str) for nm in names):
         raise SemigroupError("names must be a list of strings")
     if len(names) != order:
         raise SemigroupError("names length does not match order")
-    return FiniteSemigroup(order, tuple(tuple(row) for row in table), tuple(names))
+    return FiniteSemigroup(order, rows, tuple(names))
+
+
+def greedy_generators(elements: Iterable[Hashable],
+                      mul: Callable[[Hashable, Hashable], Hashable],
+                      universe: Container) -> Optional[list]:
+    """Generators taken greedily in the order of ``elements``, with their right orbit.
+
+    An element not yet in the right orbit of the generators so far becomes a
+    generator: every element already reached is multiplied by it, then the
+    new elements by every generator (Froidure & Pin's right Cayley graph
+    enumeration).  The orbit holds the left-bracketed products of the
+    generators and ends up containing every element.  Returns None as soon
+    as a product falls outside ``universe``.
+    """
+    orbit: list = []
+    seen = set()
+    gens: list = []
+    for g in elements:
+        if g in seen:
+            continue
+        old = len(orbit)
+        gens.append(g)
+        seen.add(g)
+        orbit.append(g)
+        for i in range(old):
+            p = mul(orbit[i], g)
+            if p not in seen:
+                if p not in universe:
+                    return None
+                seen.add(p)
+                orbit.append(p)
+        i = old
+        while i < len(orbit):
+            x = orbit[i]
+            for h in gens:
+                p = mul(x, h)
+                if p not in seen:
+                    if p not in universe:
+                        return None
+                    seen.add(p)
+                    orbit.append(p)
+            i += 1
+    return gens
+
+
+def _light_test(rows: Sequence[tuple[int, ...]], g: int) -> bool:
+    """(x·g)·y == x·(g·y) for all x, y: rows are compared whole."""
+    if len(rows) == 1:
+        return True  # [[0]]; itemgetter of one index returns no tuple
+    gy = operator.itemgetter(*rows[g])
+    return all(rows[rx[g]] == gy(rx) for rx in rows)
+
+
+def _raise_first_non_associative(rows: Sequence[Sequence[int]]) -> None:
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            ij = rows[i][j]
+            for k in range(n):
+                if rows[ij][k] != rows[i][rows[j][k]]:
+                    raise NonAssociative(i, j, k)
 
 
 def from_json(text: str) -> FiniteSemigroup:
@@ -101,7 +169,10 @@ def from_json(text: str) -> FiniteSemigroup:
         raise SemigroupError(f"unknown keys: {sorted(extra)}")
     if "order" not in obj or "table" not in obj:
         raise SemigroupError("missing required keys 'order' and 'table'")
-    return validate_cayley(obj["order"], obj["table"], obj.get("names"))
+    order = obj["order"]
+    if type(order) is int and order > MAX_ORDER:
+        raise TooLarge(f"order {order} exceeds the table input cap {MAX_ORDER}")
+    return validate_cayley(order, obj["table"], obj.get("names"))
 
 
 def to_json(s: FiniteSemigroup) -> str:
@@ -133,33 +204,67 @@ def _classes_from_keys(keys: list) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _right_ideal(s: FiniteSemigroup, x: int) -> frozenset[int]:
-    return frozenset({x} | {s.table[x][t] for t in range(s.order)})
+def _cayley_graphs(s: FiniteSemigroup) -> tuple[list[tuple[int, ...]], ...]:
+    """Right, left and two-sided Cayley graphs over a greedy generating set G:
+    x -> xg, x -> gx and both.
+
+    By associativity, what x reaches in them is xS^1, S^1x and S^1xS^1.
+    """
+    t = s.table
+    gens = greedy_generators(range(s.order), lambda x, g: t[x][g], range(s.order))
+    cols = list(zip(*t))
+    right = list(zip(*(cols[g] for g in gens)))
+    left = list(zip(*(t[g] for g in gens)))
+    return right, left, [a + b for a, b in zip(right, left)]
 
 
-def _left_ideal(s: FiniteSemigroup, x: int) -> frozenset[int]:
-    return frozenset({x} | {s.table[t][x] for t in range(s.order)})
+def _scc(succ: Sequence[Sequence[int]]) -> list[int]:
+    """Strongly connected components by an iterative Tarjan search.
+
+    Components are numbered in the order Tarjan closes them, which is reverse
+    topological: comp[y] <= comp[x] for every edge x -> y.
+    """
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    visited = closed = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]  # w is still on the stack
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = closed
+                        if w == v:
+                            break
+                    closed += 1
+    return comp
 
 
-def _two_sided_ideal(s: FiniteSemigroup, x: int) -> frozenset[int]:
-    # S^1 x S^1 = {x} ∪ xS ∪ Sx ∪ SxS
-    out = set(_right_ideal(s, x)) | set(_left_ideal(s, x))
-    for a in range(s.order):
-        ax = s.table[a][x]
-        for b in range(s.order):
-            out.add(s.table[ax][b])
-    return frozenset(out)
-
-
-def greens(s: FiniteSemigroup) -> GreensData:
-    """Partitions from principal ideals; H = R∧L; D = join of R and L (= J, checked)."""
-    n = s.order
-    r = _classes_from_keys([_right_ideal(s, x) for x in range(n)])
-    l = _classes_from_keys([_left_ideal(s, x) for x in range(n)])
-    j = _classes_from_keys([_two_sided_ideal(s, x) for x in range(n)])
-    h = _classes_from_keys([(r[x], l[x]) for x in range(n)])
-    # D = R∘L, computed as the join of R and L via union-find
-    parent = list(range(n))
+def _union_find(order: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """A representative of each element's block in the join of the given pairs."""
+    parent = list(range(order))
 
     def find(a):
         while parent[a] != a:
@@ -167,15 +272,22 @@ def greens(s: FiniteSemigroup) -> GreensData:
             a = parent[a]
         return a
 
-    for cls in (r, l):
-        first: dict[int, int] = {}
-        for x in range(n):
-            c = cls[x]
-            if c in first:
-                parent[find(x)] = find(first[c])
-            else:
-                first[c] = x
-    d = _classes_from_keys([find(x) for x in range(n)])
+    for (x, y) in pairs:
+        parent[find(x)] = find(y)
+    return [find(x) for x in range(order)]
+
+
+def greens(s: FiniteSemigroup) -> GreensData:
+    """R, L and J as strongly connected components of the right, left and two-sided
+    Cayley graphs; H = R∧L; D = join of R and L (= J, checked)."""
+    n = s.order
+    r, l, j = (_classes_from_keys(_scc(graph)) for graph in _cayley_graphs(s))
+    h = _classes_from_keys([(r[x], l[x]) for x in range(n)])
+    # D = R∘L, the join of R and L: each element joins the first of its R- and L-class
+    first: dict = {}
+    joins = [(x, first.setdefault(key, x))
+             for x in range(n) for key in (("R", r[x]), ("L", l[x]))]
+    d = _classes_from_keys(_union_find(n, joins))
     if d != j:
         raise SemigroupError("D != J on a finite semigroup; table is corrupt")
     return GreensData(r, l, j, h, d)
@@ -189,15 +301,30 @@ def is_simple(s: FiniteSemigroup) -> bool:
 
 
 def proper_ideal(s: FiniteSemigroup) -> Optional[frozenset[int]]:
-    """Smallest proper principal two-sided ideal, ties broken by smallest generator."""
+    """Smallest proper principal two-sided ideal, ties broken by smallest generator.
+
+    S^1xS^1 is what x reaches in the two-sided Cayley graph: one bitset per
+    strongly connected component, filled in reverse topological order.
+    """
+    n = s.order
+    succ = _cayley_graphs(s)[2]
+    comp = _scc(succ)
+    reach = [0] * (max(comp) + 1)
+    for x in sorted(range(n), key=comp.__getitem__):
+        cx = comp[x]
+        bits = reach[cx] | 1 << x
+        for y in succ[x]:
+            if comp[y] != cx:
+                bits |= reach[comp[y]]
+        reach[cx] = bits
     best = None
-    for x in range(s.order):
-        ideal = _two_sided_ideal(s, x)
-        if len(ideal) == s.order:
-            continue
-        if best is None or len(ideal) < len(best):
-            best = ideal
-    return best
+    for x in range(n):
+        size = reach[comp[x]].bit_count()
+        if size < n and (best is None or size < best[0]):
+            best = (size, reach[comp[x]])
+    if best is None:
+        return None
+    return frozenset(x for x in range(n) if best[1] >> x & 1)
 
 
 def identity_index(s: FiniteSemigroup) -> Optional[int]:
@@ -311,19 +438,9 @@ def sandwich(s: FiniteSemigroup, a: int) -> FiniteSemigroup:
 
 
 def _partition_classes(order: int, pairs) -> list[list[int]]:
-    parent = list(range(order))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for (x, y) in pairs:
-        parent[find(x)] = find(y)
     groups: dict[int, list[int]] = {}
-    for x in range(order):
-        groups.setdefault(find(x), []).append(x)
+    for x, root in enumerate(_union_find(order, pairs)):
+        groups.setdefault(root, []).append(x)
     return sorted(groups.values(), key=min)
 
 

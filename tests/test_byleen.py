@@ -340,3 +340,35 @@ def test_trivial_base_monoid():
 def test_matrix_requires_monoid_base():
     with pytest.raises(finite.SemigroupError):
         byleen.TwoTransitiveMatrix(finite.left_zero(2))
+
+
+# -- certificate re-checks are explicit raises, so they also run under -O --
+
+def test_corrupt_matrix_entry_raises_certificate_error(monkeypatch):
+    m = byleen.TwoTransitiveMatrix(finite.cyclic_group(2))
+    g = NormalForm((BLetter(0, 0),), 1, (ALetter(0, 0),), m)
+    h = NormalForm((BLetter(1, 0),), 0, (ALetter(1, 1),), m)
+    monkeypatch.setattr(byleen.TwoTransitiveMatrix, "entry",
+                        lambda self, a, b: SElem(self.identity))
+    with pytest.raises(byleen.CertificateError):
+        byleen.span_witness(m, g, h, SElem(1), ALetter(0, 0))
+
+
+def test_corrupt_product_raises_certificate_error(monkeypatch):
+    m = byleen.TwoTransitiveMatrix(finite.cyclic_group(2))
+    t = NormalForm((), 1, (ALetter(0, 0),), m)
+    # every product in the re-check evaluates to the identity
+    monkeypatch.setattr(byleen, "nf_mul", lambda x, y: byleen.identity_nf(m))
+    with pytest.raises(byleen.CertificateError):
+        byleen.inverse_of(m, t, sandwich_inverse_oracle(m.base))
+
+
+def test_corrupt_evaluation_raises_certificate_error(monkeypatch):
+    m = byleen.TwoTransitiveMatrix(finite.cyclic_group(2))
+    g = NormalForm((BLetter(0, 0),), 1, (), m)
+    h = NormalForm((), 0, (ALetter(0, 0),), m)
+    monkeypatch.setattr(byleen.PairExpr, "evaluate", lambda self: self.gen)
+    with pytest.raises(byleen.CertificateError):
+        byleen.span_witness(m, g, h, SElem(1), ALetter(0, 0))
+    with pytest.raises(byleen.CertificateError):
+        byleen.express_pair(m, g, h, h, g)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sgdsc import cli, finite
+from sgdsc import byleen, cli, finite
 
 
 @pytest.fixture()
@@ -46,6 +46,25 @@ def test_check_strict_fails_on_non_group(capsys, table_file):
     path = table_file("lz.json", finite.left_zero(2))
     code, _, _ = run(capsys, ["check", path, "--strict"])
     assert code == 1
+
+
+def test_check_witness_flag_changes_nothing(capsys, table_file):
+    for name, s in (("lz.json", finite.left_zero(3)), ("c3.json", finite.cyclic_group(3)),
+                    ("ms.json", finite.min_semilattice())):
+        path = table_file(name, s)
+        for extra in ([], ["--brute"], ["--pretty"]):
+            _, plain, _ = run(capsys, ["check", path] + extra)
+            _, flagged, _ = run(capsys, ["check", path, "--witness"] + extra)
+            assert flagged == plain
+
+
+def test_check_and_witness_reject_order_above_cap(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"order": finite.MAX_ORDER + 1, "table": []}))
+    for command in ("check", "witness"):
+        code, out, err = run(capsys, [command, str(path)])
+        assert code == 2 and out == ""
+        assert str(finite.MAX_ORDER) in json.loads(err)["error"]
 
 
 def test_check_malformed_json(capsys, tmp_path):
@@ -206,3 +225,12 @@ def test_timing_only_with_flag(capsys, table_file):
     assert "timing" not in json.loads(out)
     _, out, _ = run(capsys, ["check", path, "--timing"])
     assert "timing" in json.loads(out)
+
+
+def test_byleen_failed_certificate_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(byleen.TwoTransitiveMatrix, "entry",
+                        lambda self, a, b: byleen.SElem(self.identity))
+    code, out, err = run(capsys, ["byleen", "span", "a(0,s0)", "b(0,s0)",
+                                  "s1", "a(2,s1)"])
+    assert code == 1 and out == ""
+    assert "certificate" in json.loads(err)["error"]

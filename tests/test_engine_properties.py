@@ -1,0 +1,219 @@
+"""Property tests: the generator-based finite engine against plain-loop oracles.
+
+Each oracle below is the direct definition, written out here with no library
+calls: the n^3 associativity scan, principal ideals {x} ∪ xS ∪ Sx ∪ SxS, and
+the four congruence axioms as double loops over the sorted pairs.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from sgdsc import finite, relations
+
+# ---------------------------------------------------------------------------
+# Oracles
+
+
+def first_non_associative(table):
+    n = len(table)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if table[table[i][j]][k] != table[i][table[j][k]]:
+                    return (i, j, k)
+    return None
+
+
+def numbered(keys):
+    ids = {}
+    return tuple(ids.setdefault(k, len(ids)) for k in keys)
+
+
+def principal_ideals(s):
+    """(xS^1, S^1x, S^1xS^1) for every x, by definition."""
+    t, n = s.table, s.order
+    right = [frozenset({x} | {t[x][a] for a in range(n)}) for x in range(n)]
+    left = [frozenset({x} | {t[a][x] for a in range(n)}) for x in range(n)]
+    both = [right[x] | left[x] | {t[t[a][x]][b] for a in range(n) for b in range(n)}
+            for x in range(n)]
+    return right, left, both
+
+
+def smallest_proper_ideal(s):
+    ideals = [i for i in principal_ideals(s)[2] if len(i) < s.order]
+    return min(ideals, key=len) if ideals else None
+
+
+def axiom_oracle(s, pairs):
+    t = s.table
+    srt = sorted(pairs)
+    flags, violations = {}, {}
+    miss = [(x, x) for x in range(s.order) if (x, x) not in pairs]
+    flags["contains_diagonal"] = not miss
+    if miss:
+        violations["contains_diagonal"] = miss[0]
+    bad = [(x, y, z, w) for (x, y) in srt for (z, w) in srt
+           if (t[x][z], t[y][w]) not in pairs]
+    flags["is_subsemigroup"] = not bad
+    if bad:
+        violations["is_subsemigroup"] = bad[0]
+    asym = [(x, y) for (x, y) in srt if (y, x) not in pairs]
+    flags["is_symmetric"] = not asym
+    if asym:
+        violations["is_symmetric"] = asym[0]
+    intrans = [(x, y, z) for (x, y) in srt for (y2, z) in srt
+               if y2 == y and (x, z) not in pairs]
+    flags["is_transitive"] = not intrans
+    if intrans:
+        violations["is_transitive"] = intrans[0]
+    return flags, violations
+
+
+# ---------------------------------------------------------------------------
+# Strategies
+
+
+@st.composite
+def raw_tables(draw):
+    """Any n x n table over 0..n-1 (mostly non-associative), n = 1..6."""
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+def table_semigroup(rows):
+    return finite.validate_cayley(len(rows), rows)
+
+
+def adjoin(s, zero):
+    """S with a new zero (zero=True) or a new identity appended as element n."""
+    n = s.order
+    rows = [list(r) + [n if zero else i] for i, r in enumerate(s.table)]
+    rows.append([n] * (n + 1) if zero else list(range(n + 1)))
+    return table_semigroup(rows)
+
+
+BASES = [finite.cyclic_group(k) for k in (1, 2, 3, 4)] + \
+    [finite.left_zero(k) for k in (1, 2, 3)] + \
+    [table_semigroup([list(range(k))] * k) for k in (2, 3)] + \
+    [table_semigroup([[min(i, j) for j in range(k)] for i in range(k)]) for k in (2, 3)] + \
+    [table_semigroup([[0] * k for _ in range(k)]) for k in (2, 3)] + \
+    [finite.symmetric_group_3(), finite.generate_symmetric_inverse(2)]
+
+
+@st.composite
+def rees_matrices(draw):
+    k, i_size, j_size = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = st.lists(st.integers(0, k - 1), min_size=i_size, max_size=i_size).map(tuple)
+    sandwich = tuple(draw(st.lists(cells, min_size=j_size, max_size=j_size)))
+    return finite.rees_matrix(finite.ReesSpec(finite.cyclic_group(k), i_size, j_size, sandwich))
+
+
+@st.composite
+def semigroups(draw, max_order=24):
+    """Products, Rees matrices and adjoined zeros/identities, randomly relabeled."""
+    s = draw(st.one_of(st.sampled_from(BASES), rees_matrices()))
+    for _ in range(draw(st.integers(0, 2))):
+        op = draw(st.sampled_from(("product", "zero", "identity")))
+        if op == "product":
+            other = draw(st.sampled_from(BASES))
+            if s.order * other.order <= max_order:
+                s = finite.direct_product(s, other)
+        elif s.order < max_order:
+            s = adjoin(s, zero=op == "zero")
+    return finite.relabel(s, draw(st.permutations(range(s.order))))
+
+
+@st.composite
+def corrupted(draw):
+    """A constructed semigroup with one cell changed: often barely non-associative."""
+    s = draw(semigroups(max_order=12))
+    rows = [list(r) for r in s.table]
+    i, j = draw(st.integers(0, s.order - 1)), draw(st.integers(0, s.order - 1))
+    rows[i][j] = draw(st.integers(0, s.order - 1))
+    return rows
+
+
+@st.composite
+def relations_on(draw):
+    """A semigroup of order <= 8 and a relation on it: random pair sets (with or
+    without the diagonal), diagonal closures and generated congruences."""
+    s = draw(semigroups(max_order=8))
+    n = s.order
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    some = draw(st.sets(pair, max_size=2 * n))
+    kind = draw(st.sampled_from(("raw", "with-diagonal", "closure", "congruence")))
+    if kind == "raw":
+        pairs = some
+    elif kind == "with-diagonal":
+        pairs = some | {(x, x) for x in range(n)}
+    elif kind == "closure":
+        pairs = relations.diagonal_closure(s, some).pairs
+    else:
+        pairs = relations.congruence_generated(s, set(list(some)[:2])).pairs
+    return s, relations.PairSet.from_pairs(s, pairs)
+
+
+# ---------------------------------------------------------------------------
+# Properties
+
+
+def check_validation(rows):
+    expected = first_non_associative(rows)
+    try:
+        finite.validate_cayley(len(rows), rows)
+    except finite.NonAssociative as exc:
+        assert exc.triple == expected
+        assert str(exc) == "associativity fails at triple ({},{},{})".format(*expected)
+    else:
+        assert expected is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_tables())
+def test_light_test_matches_triple_scan_on_random_tables(rows):
+    check_validation(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corrupted())
+def test_light_test_matches_triple_scan_on_corrupted_semigroups(rows):
+    check_validation(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(semigroups())
+def test_greens_classes_are_principal_ideal_classes(s):
+    right, left, both = principal_ideals(s)
+    gd = finite.greens(s)
+    assert gd.r_class == numbered(right)
+    assert gd.l_class == numbered(left)
+    assert gd.j_class == numbered(both)
+    assert gd.h_class == numbered(zip(right, left))
+    assert gd.d_class == gd.j_class
+
+
+@settings(max_examples=100, deadline=None)
+@given(semigroups())
+def test_proper_ideal_is_brute_force_minimum(s):
+    assert finite.proper_ideal(s) == smallest_proper_ideal(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(relations_on())
+def test_axiom_report_matches_double_loops(subject_rho):
+    s, rho = subject_rho
+    flags, violations = axiom_oracle(s, rho.pairs)
+    rep = relations.axiom_report(s, rho)
+    assert {k: getattr(rep, k) for k in flags} == flags
+    assert rep.violations == violations
+
+
+@settings(max_examples=100, deadline=None)
+@given(semigroups(max_order=16))
+def test_witnesses_verify_against_oracle(s):
+    if finite.is_group(s):
+        return
+    ps, failing, _ = relations.witness_non_dsc(s)
+    flags, _ = axiom_oracle(s, ps.pairs)
+    assert flags["contains_diagonal"] and flags["is_subsemigroup"]
+    assert (failing[1], failing[0]) not in ps.pairs

@@ -39,6 +39,14 @@ def test_json_roundtrip_and_strict_keys():
             {"order": 1, "table": [[0]], "names": ["x"], "extra": 1}))
 
 
+def test_from_json_caps_order_before_reading_the_table():
+    with pytest.raises(finite.TooLarge):
+        finite.from_json(json.dumps({"order": finite.MAX_ORDER + 1, "table": []}))
+    # at the cap the table itself is checked
+    with pytest.raises(finite.SemigroupError, match="dimensions"):
+        finite.from_json(json.dumps({"order": finite.MAX_ORDER, "table": []}))
+
+
 def test_greens_left_zero():
     gd = finite.greens(finite.left_zero(2))
     # xS1 = {x} so R-classes are singletons; S1x = {x,y} so L is full
