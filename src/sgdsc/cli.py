@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -258,37 +259,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true")
     p.add_argument("--pretty", action="store_true")
     p.add_argument("--timing", action="store_true")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("enumerate", help="enumerate small semigroups")
     p.add_argument("n", type=int)
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--count", action="store_true")
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("witness", help="emit a non-DSC witness for a table")
     p.add_argument("path")
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("byleen", help="normal forms and certificates")
     p.add_argument("action", choices=["eval", "mul", "span", "inverse"])
     p.add_argument("args", nargs="*")
     p.add_argument("--base", choices=["c2", "trivial"], default="c2")
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_byleen)
 
     p = sub.add_parser("models", help="run an infinite-model witness suite")
     p.add_argument("name", choices=list(infinite.MODELS))
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_models)
     return parser
 
 
+# built on first use, then reused: once per process, and never at import
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a handler rebound on this module is the one run
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

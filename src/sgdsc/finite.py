@@ -262,19 +262,26 @@ def _scc(succ: Sequence[Sequence[int]]) -> list[int]:
     return comp
 
 
-def _union_find(order: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """A representative of each element's block in the join of the given pairs."""
-    parent = list(range(order))
+class _UnionFind:
+    """Blocks of 0..order-1: the join of ``pairs`` and of later ``union`` calls."""
 
-    def find(a):
+    def __init__(self, order: int, pairs: Iterable[tuple[int, int]] = ()):
+        self.parent = list(range(order))
+        for (x, y) in pairs:
+            self.union(x, y)
+
+    def find(self, a: int) -> int:
+        parent = self.parent
         while parent[a] != a:
             parent[a] = parent[parent[a]]
             a = parent[a]
         return a
 
-    for (x, y) in pairs:
-        parent[find(x)] = find(y)
-    return [find(x) for x in range(order)]
+    def union(self, a: int, b: int) -> bool:
+        """Join the blocks of a and b; False if they were one already."""
+        ra, rb = self.find(a), self.find(b)
+        self.parent[ra] = rb
+        return ra != rb
 
 
 def greens(s: FiniteSemigroup) -> GreensData:
@@ -287,7 +294,7 @@ def greens(s: FiniteSemigroup) -> GreensData:
     first: dict = {}
     joins = [(x, first.setdefault(key, x))
              for x in range(n) for key in (("R", r[x]), ("L", l[x]))]
-    d = _classes_from_keys(_union_find(n, joins))
+    d = _classes_from_keys(list(map(_UnionFind(n, joins).find, range(n))))
     if d != j:
         raise SemigroupError("D != J on a finite semigroup; table is corrupt")
     return GreensData(r, l, j, h, d)
@@ -438,9 +445,10 @@ def sandwich(s: FiniteSemigroup, a: int) -> FiniteSemigroup:
 
 
 def _partition_classes(order: int, pairs) -> list[list[int]]:
+    find = _UnionFind(order, pairs).find
     groups: dict[int, list[int]] = {}
-    for x, root in enumerate(_union_find(order, pairs)):
-        groups.setdefault(root, []).append(x)
+    for x in range(order):
+        groups.setdefault(find(x), []).append(x)
     return sorted(groups.values(), key=min)
 
 
@@ -454,16 +462,14 @@ def quotient(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]]):
     rel |= {(x, x) for x in range(s.order)}
     if any(not (0 <= x < s.order and 0 <= y < s.order) for (x, y) in rel):
         raise OutOfRange(next(p for p in rel if not all(0 <= c < s.order for c in p)))
-    if any((y, x) not in rel for (x, y) in rel):
+    from .relations import PairSet, axiom_report
+    rep = axiom_report(s, PairSet(s, frozenset(rel)))
+    if not rep.is_symmetric:
         raise NotACongruence("relation is not symmetric")
-    for (x, y) in rel:
-        for (y2, z) in rel:
-            if y2 == y and (x, z) not in rel:
-                raise NotACongruence("relation is not transitive")
-    for (x, y) in rel:
-        for (z, t) in rel:
-            if (s.table[x][z], s.table[y][t]) not in rel:
-                raise NotACongruence("relation is not compatible")
+    if not rep.is_transitive:
+        raise NotACongruence("relation is not transitive")
+    if not rep.is_subsemigroup:
+        raise NotACongruence("relation is not compatible")
     classes = _partition_classes(s.order, rel)
     class_of = [0] * s.order
     for cid, cls in enumerate(classes):

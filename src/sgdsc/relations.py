@@ -10,7 +10,7 @@ certified witnesses for the failing cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import finite
 from .finite import FiniteSemigroup, TooLarge
@@ -71,46 +71,64 @@ def diagonal(s: FiniteSemigroup) -> frozenset[tuple[int, int]]:
     return frozenset((x, x) for x in range(s.order))
 
 
+def _pair_set(s: FiniteSemigroup, mask: int) -> PairSet:
+    n = s.order
+    return PairSet(s, frozenset(divmod(p, n) for p in range(n * n) if mask >> p & 1))
+
+
+def _close(s: FiniteSemigroup, mask: int) -> int:
+    """Least subsemigroup of S x S containing the pairs of ``mask``, a bitmask
+    over pair indices p = x*n + y.
+
+    A worklist: each member, old or new, is multiplied on both sides by every
+    member reached before it and by itself, so every ordered product of two
+    members is formed once the later of the two is taken.
+    """
+    n = s.order
+    t = s.table
+    # membership by byte: a shift of a large mask costs n^2/64 words
+    inside = bytearray(mask >> p & 1 for p in range(n * n))
+    reached = [divmod(p, n) for p in range(n * n) if inside[p]]
+    for i, (x, y) in enumerate(reached):  # grows while it is walked
+        tx, ty = t[x], t[y]
+        for (z, w) in reached[:i + 1]:
+            for p in (tx[z] * n + ty[w], t[z][x] * n + t[w][y]):
+                if not inside[p]:
+                    inside[p] = 1
+                    mask |= 1 << p
+                    reached.append(divmod(p, n))
+    return mask
+
+
 def diagonal_closure(s: FiniteSemigroup, generators: Iterable[tuple[int, int]]) -> PairSet:
     """Least subsemigroup of S x S containing the diagonal and the generators."""
-    cur = set(diagonal(s)) | {(int(x), int(y)) for (x, y) in generators}
-    t = s.table
-    frontier = list(cur)
-    while frontier:
-        nxt = []
-        for (x, y) in frontier:
-            for (z, w) in list(cur):
-                for p in ((t[x][z], t[y][w]), (t[z][x], t[w][y])):
-                    if p not in cur:
-                        cur.add(p)
-                        nxt.append(p)
-        frontier = nxt
-    return PairSet.from_pairs(s, cur)
+    n = s.order
+    pairs = diagonal(s) | PairSet.from_pairs(s, generators).pairs
+    return _pair_set(s, _close(s, sum(1 << (x * n + y) for (x, y) in pairs)))
 
 
 def congruence_generated(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]]) -> PairSet:
-    """Least congruence containing the pairs."""
-    cur = set(diagonal(s)) | {(int(x), int(y)) for (x, y) in pairs}
+    """Least congruence containing the pairs.
+
+    Union-find over the elements (Freese, "Computing congruences
+    efficiently"): each merge of x and y queues (xg, yg) and (gx, gy) for
+    every g in a generating set.  The merged pairs span the blocks, so the
+    blocks are closed under translation by generators, hence by all of S.
+    """
+    queue = list(PairSet.from_pairs(s, pairs).pairs)
     t = s.table
-    changed = True
-    while changed:
-        changed = False
-        for (x, y) in list(cur):
-            if (y, x) not in cur:
-                cur.add((y, x))
-                changed = True
-        for (x, y) in list(cur):
-            for (y2, z) in list(cur):
-                if y2 == y and (x, z) not in cur:
-                    cur.add((x, z))
-                    changed = True
-        for (x, y) in list(cur):
-            for (z, w) in list(cur):
-                p = (t[x][z], t[y][w])
-                if p not in cur:
-                    cur.add(p)
-                    changed = True
-    return PairSet.from_pairs(s, cur)
+    n = s.order
+    gens = finite.greedy_generators(range(n), lambda x, g: t[x][g], range(n))
+    blocks = finite._UnionFind(n)
+    while queue:
+        x, y = queue.pop()
+        if blocks.union(x, y):
+            for g in gens:
+                queue.append((t[x][g], t[y][g]))
+                queue.append((t[g][x], t[g][y]))
+    root = [blocks.find(x) for x in range(n)]
+    return PairSet(s, frozenset((x, y) for x in range(n) for y in range(n)
+                                if root[x] == root[y]))
 
 
 def axiom_report(s: FiniteSemigroup, rho: PairSet) -> AxiomReport:
@@ -171,52 +189,44 @@ def is_congruence(s: FiniteSemigroup, rho: PairSet) -> bool:
 # ---------------------------------------------------------------------------
 # DSC decisions
 
-def _pair_products(s: FiniteSemigroup) -> list[list[int]]:
-    """prod[p][q] over flattened pair indices p = x*n + y."""
-    n = s.order
-    t = s.table
-    idx = [(x, y) for x in range(n) for y in range(n)]
-    return [[t[x][z] * n + t[y][w] for (z, w) in idx] for (x, y) in idx]
+def _closed_masks(s: FiniteSemigroup) -> Iterator[int]:
+    """Masks of the diagonal subsemigroups of S x S in increasing order (order <= 4).
 
-
-def _mask_closed(mask: int, members: list[int], prod) -> bool:
-    for p in members:
-        row = prod[p]
-        for q in members:
-            if not (mask >> row[q]) & 1:
-                return False
-    return True
-
-
-def brute_force_is_dsc(s: FiniteSemigroup) -> tuple[bool, Optional[PairSet]]:
-    """Scan every subset of off-diagonal pairs; complete for order <= 4.
-
-    Every diagonal subsemigroup is Δ plus some set of off-diagonal pairs, so
-    the scan is exhaustive.  For each multiplication-closed subset the
-    symmetry and transitivity axioms are checked; the first failure (lowest
-    subset mask) is returned as the witness.
+    Ganter's NextClosure over the off-diagonal pair bits, the highest bit the
+    most significant: the successor of a closed mask A is the closure of
+    (A above p) ∪ Δ ∪ {p} for the lowest p not in A whose closure adds
+    nothing above p.  Each step closes at most n^2 - n candidates, so the
+    cost follows the number of closed masks, not 2^(n^2 - n).
     """
     n = s.order
     if n > 4:
         raise TooLarge(f"subset scan capped at order 4, got {n}")
-    prod = _pair_products(s)
-    diag_mask = 0
-    for x in range(n):
-        diag_mask |= 1 << (x * n + x)
-    off = [x * n + y for x in range(n) for y in range(n) if x != y]
-    k = len(off)
-    for m in range(1 << k):
-        mask = diag_mask
-        mm = m
-        while mm:
-            low = mm & -mm
-            mask |= 1 << off[low.bit_length() - 1]
-            mm ^= low
-        members = [p for p in range(n * n) if (mask >> p) & 1]
-        if not _mask_closed(mask, members, prod):
-            continue
-        pairs = [(p // n, p % n) for p in members]
-        ps = PairSet.from_pairs(s, pairs)
+    diag = sum(1 << x * (n + 1) for x in range(n))
+    off = [p for p in range(n * n) if not diag >> p & 1]
+    mask = diag
+    while True:
+        yield mask
+        for p in off:
+            if mask >> p & 1:
+                continue
+            high = mask >> p + 1
+            nxt = _close(s, high << p + 1 | diag | 1 << p)
+            if nxt >> p + 1 == high:
+                mask = nxt
+                break
+        else:
+            return
+
+
+def brute_force_is_dsc(s: FiniteSemigroup) -> tuple[bool, Optional[PairSet]]:
+    """Check every diagonal subsemigroup of S x S; complete for order <= 4.
+
+    The diagonal subsemigroups come from NextClosure in increasing mask order;
+    the first one that is not symmetric or not transitive (lowest mask) is
+    returned as the witness.
+    """
+    for mask in _closed_masks(s):
+        ps = _pair_set(s, mask)
         rep = axiom_report(s, ps)
         if not (rep.is_symmetric and rep.is_transitive):
             return False, ps
@@ -225,26 +235,7 @@ def brute_force_is_dsc(s: FiniteSemigroup) -> tuple[bool, Optional[PairSet]]:
 
 def count_diagonal_subsemigroups(s: FiniteSemigroup) -> int:
     """Number of multiplication-closed supersets of the diagonal (order <= 4)."""
-    n = s.order
-    if n > 4:
-        raise TooLarge(f"subset scan capped at order 4, got {n}")
-    prod = _pair_products(s)
-    diag_mask = 0
-    for x in range(n):
-        diag_mask |= 1 << (x * n + x)
-    off = [x * n + y for x in range(n) for y in range(n) if x != y]
-    count = 0
-    for m in range(1 << len(off)):
-        mask = diag_mask
-        mm = m
-        while mm:
-            low = mm & -mm
-            mask |= 1 << off[low.bit_length() - 1]
-            mm ^= low
-        members = [p for p in range(n * n) if (mask >> p) & 1]
-        if _mask_closed(mask, members, prod):
-            count += 1
-    return count
+    return sum(1 for _ in _closed_masks(s))
 
 
 def is_dsc_fast(s: FiniteSemigroup) -> bool:

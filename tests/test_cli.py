@@ -58,6 +58,14 @@ def test_check_witness_flag_changes_nothing(capsys, table_file):
             assert flagged == plain
 
 
+def test_parser_keeps_no_state_between_calls(capsys, table_file):
+    path = table_file("c2.json", finite.cyclic_group(2))
+    _, pretty, _ = run(capsys, ["check", path, "--pretty"])
+    _, compact, _ = run(capsys, ["check", path])
+    assert "\n" in pretty.strip()
+    assert "\n" not in compact.strip() and json.loads(compact) == json.loads(pretty)
+
+
 def test_check_and_witness_reject_order_above_cap(capsys, tmp_path):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"order": finite.MAX_ORDER + 1, "table": []}))
@@ -122,19 +130,27 @@ def test_witness_on_group_fails(capsys, table_file):
     assert "error" in json.loads(out)
 
 
-def test_enumerate_oracle_small(capsys):
-    code, out, _ = run(capsys, ["enumerate", "2", "--oracle"])
+# two labeled C2 tables at order 2: the identity can sit at either index
+@pytest.mark.parametrize("n, tables, groups, strategies", [
+    (2, 8, 2, {"ideal": 4, "rees-L": 1, "rees-R": 1}),
+    (3, 113, 3, {"ideal": 108, "rees-L": 1, "rees-R": 1}),
+    (4, 3492, 16, {"ideal": 3444, "rees-L": 13, "rees-R": 19}),
+], ids=["2", "3", "4"])
+def test_enumerate_oracle_small(capsys, n, tables, groups, strategies):
+    code, out, _ = run(capsys, ["enumerate", str(n), "--oracle"])
     assert code == 0
     doc = json.loads(out)
-    # two labeled C2 tables: the identity can sit at either index
-    assert doc["oracle"] == "pass" and doc["tables"] == 8 and doc["groups"] == 2
+    assert doc["oracle"] == "pass" and doc["tables"] == tables and doc["groups"] == groups
+    assert doc["witness_strategies"] == strategies
 
 
-def test_enumerate_count(capsys):
-    code, out, _ = run(capsys, ["enumerate", "3", "--count"])
+@pytest.mark.parametrize("n, labeled, classes", [(3, 113, 24), (4, 3492, 188)],
+                         ids=["3", "4"])
+def test_enumerate_count(capsys, n, labeled, classes):
+    code, out, _ = run(capsys, ["enumerate", str(n), "--count"])
     assert code == 0
     doc = json.loads(out)
-    assert doc["labeled"] == 113 and doc["isomorphism_classes"] == 24
+    assert doc["labeled"] == labeled and doc["isomorphism_classes"] == classes
 
 
 def test_enumerate_cap(capsys):

@@ -1,10 +1,15 @@
 """Property tests: the generator-based finite engine against plain-loop oracles.
 
 Each oracle below is the direct definition, written out here with no library
-calls: the n^3 associativity scan, principal ideals {x} ∪ xS ∪ Sx ∪ SxS, and
-the four congruence axioms as double loops over the sorted pairs.
+calls: the n^3 associativity scan, principal ideals {x} ∪ xS ∪ Sx ∪ SxS, the
+four congruence axioms as double loops over the sorted pairs, closures as
+fixpoints of those loops, and diagonal subsemigroups by scanning every subset
+of off-diagonal pairs.
 """
 
+import functools
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgdsc import finite, relations
@@ -68,6 +73,54 @@ def axiom_oracle(s, pairs):
     return flags, violations
 
 
+def closure_oracle(s, pairs):
+    """Least subsemigroup of S x S containing the diagonal and the pairs:
+    each round multiplies the newest pairs by every pair on both sides."""
+    t = s.table
+    cur = {(x, x) for x in range(s.order)} | set(pairs)
+    frontier = list(cur)
+    while frontier:
+        nxt = []
+        for (x, y) in frontier:
+            for (z, w) in list(cur):
+                for p in ((t[x][z], t[y][w]), (t[z][x], t[w][y])):
+                    if p not in cur:
+                        cur.add(p)
+                        nxt.append(p)
+        frontier = nxt
+    return cur
+
+
+def congruence_oracle(s, pairs):
+    """Least congruence containing the pairs: symmetric, transitive and
+    compatible steps repeated until none adds a pair."""
+    t = s.table
+    cur = {(x, x) for x in range(s.order)} | set(pairs)
+    while True:
+        new = {(y, x) for (x, y) in cur}
+        new |= {(x, z) for (x, y) in cur for (y2, z) in cur if y2 == y}
+        new |= {(t[x][z], t[y][w]) for (x, y) in cur for (z, w) in cur}
+        if new <= cur:
+            return cur
+        cur |= new
+
+
+def diagonal_subsemigroups(s):
+    """Every closed superset of the diagonal, in the order of a counter over
+    the off-diagonal pairs in lexicographic order, the first the lowest bit."""
+    n, t = s.order, s.table
+    off = [(x, y) for x in range(n) for y in range(n) if x != y]
+    for m in range(1 << len(off)):
+        rho = {(x, x) for x in range(n)} | {p for i, p in enumerate(off) if m >> i & 1}
+        if all((t[x][z], t[y][w]) in rho for (x, y) in rho for (z, w) in rho):
+            yield rho
+
+
+def is_equivalence(rho):
+    return all((y, x) in rho for (x, y) in rho) and \
+        all((x, w) in rho for (x, y) in rho for (z, w) in rho if y == z)
+
+
 # ---------------------------------------------------------------------------
 # Strategies
 
@@ -121,6 +174,22 @@ def semigroups(draw, max_order=24):
         elif s.order < max_order:
             s = adjoin(s, zero=op == "zero")
     return finite.relabel(s, draw(st.permutations(range(s.order))))
+
+
+@functools.cache
+def order_4_tables():
+    return list(finite.enumerate_semigroups(4))
+
+
+order_4 = st.integers(0, 3491).map(lambda i: order_4_tables()[i])
+
+
+@st.composite
+def with_pairs(draw):
+    """A semigroup of order <= 8 and up to four pairs on it."""
+    s = draw(semigroups(max_order=8))
+    pair = st.tuples(st.integers(0, s.order - 1), st.integers(0, s.order - 1))
+    return s, draw(st.sets(pair, max_size=4))
 
 
 @st.composite
@@ -217,3 +286,50 @@ def test_witnesses_verify_against_oracle(s):
     flags, _ = axiom_oracle(s, ps.pairs)
     assert flags["contains_diagonal"] and flags["is_subsemigroup"]
     assert (failing[1], failing[0]) not in ps.pairs
+
+
+def check_subset_scan(s):
+    closed = list(diagonal_subsemigroups(s))
+    assert relations.count_diagonal_subsemigroups(s) == len(closed)
+    first = next((rho for rho in closed if not is_equivalence(rho)), None)
+    ok, witness = relations.brute_force_is_dsc(s)
+    assert ok == (first is None)
+    assert witness is None if ok else witness.pairs == first
+
+
+def test_closed_set_enumerator_matches_subset_scan():
+    tables = [s for n in (1, 2, 3) for s in finite.enumerate_semigroups(n)]
+    tables += [s for s in order_4_tables() if finite.is_group(s)]
+    for s in tables:
+        check_subset_scan(s)
+
+
+@settings(max_examples=30, deadline=None)
+@given(order_4)
+def test_closed_set_enumerator_matches_subset_scan_order_4(s):
+    check_subset_scan(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(with_pairs())
+def test_diagonal_closure_matches_frontier_loop(subject_pairs):
+    s, pairs = subject_pairs
+    assert relations.diagonal_closure(s, pairs).pairs == closure_oracle(s, pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(with_pairs())
+def test_congruence_generated_matches_fixpoint(subject_pairs):
+    s, pairs = subject_pairs
+    assert relations.congruence_generated(s, pairs).pairs == congruence_oracle(s, pairs)
+
+
+# each relation also fails every axiom checked after the one named
+@pytest.mark.parametrize("pairs, message", [
+    ([(0, 1), (1, 2)], "relation is not symmetric"),
+    ([(0, 1), (1, 0), (1, 2), (2, 1)], "relation is not transitive"),
+    ([(0, 1), (1, 0)], "relation is not compatible"),
+], ids=["symmetric", "transitive", "compatible"])
+def test_quotient_names_the_failing_axiom(pairs, message):
+    with pytest.raises(finite.NotACongruence, match=message):
+        finite.quotient(finite.cyclic_group(3), pairs)

@@ -74,6 +74,15 @@ def test_congruence_contains_diagonal_closure():
                 relations.congruence_generated(s, gens).pairs
 
 
+@pytest.mark.parametrize("pair", [(-1, 0), (2, 0)], ids=["negative", "too-large"])
+@pytest.mark.parametrize("close", [relations.diagonal_closure, relations.congruence_generated],
+                         ids=["diagonal_closure", "congruence_generated"])
+def test_closures_reject_out_of_range_pairs(close, pair):
+    with pytest.raises(finite.OutOfRange) as exc:
+        close(finite.cyclic_group(2), [pair])
+    assert exc.value.entry == pair
+
+
 def test_brute_force_left_zero():
     ok, witness = relations.brute_force_is_dsc(finite.left_zero(2))
     assert not ok
@@ -93,6 +102,22 @@ def test_brute_force_semilattice():
 def test_brute_force_too_large():
     with pytest.raises(finite.TooLarge):
         relations.brute_force_is_dsc(finite.cyclic_group(5))
+
+
+def test_brute_force_agrees_with_is_dsc_fast_on_order_4():
+    # the theorem on every labeled table of order 4; a witness is checked
+    # by plain loops: it contains the diagonal, is closed and is not a congruence
+    for s in finite.enumerate_semigroups(4):
+        ok, witness = relations.brute_force_is_dsc(s)
+        assert ok == relations.is_dsc_fast(s)
+        if ok:
+            assert witness is None
+            continue
+        t, rho = s.table, witness.pairs
+        assert all((x, x) in rho for x in range(4))
+        assert all((t[x][z], t[y][w]) in rho for (x, y) in rho for (z, w) in rho)
+        assert any((y, x) not in rho for (x, y) in rho) or \
+            any((x, w) not in rho for (x, y) in rho for (z, w) in rho if y == z)
 
 
 def test_is_dsc_fast():
