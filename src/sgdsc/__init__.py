@@ -3,7 +3,7 @@ property for finite semigroups, with executable models of the infinite
 counterexamples and a congruence-free monoid built over a 2-transitive
 sandwich matrix."""
 
-from . import byleen, cli, finite, infinite, relations  # noqa: F401
+from . import byleen, finite, infinite, relations  # noqa: F401
 
-__all__ = ["byleen", "cli", "finite", "infinite", "relations"]
+__all__ = ["byleen", "finite", "infinite", "relations"]
 __version__ = "0.1.0"

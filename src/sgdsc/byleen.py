@@ -4,11 +4,14 @@ The monoid is presented over W = A ∪ B ∪ S by length-reducing relations
 (ab = p_ab, as = a▷s, sb = s◁b, st = s·t, 1 = ε), so every element has a
 unique normal form v·s·u with v ∈ B*, s ∈ S, u ∈ A*.  The sandwich matrix P
 is 2-transitive, deterministic and lazily resolved: each requirement "give me
-a column hitting (c1,c2) at rows (a1,a2)" owns a stage number computed from a
-self-delimiting encoding of the requirement, and the stage's fresh index is
-stage+1.  Monotonicity of the encoding rules out cell conflicts, so any cell
-is resolvable in O(1) from its own coordinates; untouched cells default to
-the identity of S.
+a column hitting (c1,c2) at rows (a1,a2)" owns a stage number, the integer
+whose bits are a prefix-free code of the requirement (every component in
+Elias-delta code, one flag bit standing for c2 when c2 == c1), and the
+stage's fresh index is stage+1.  The stage exceeds every component, which
+rules out cell conflicts, so any cell is resolvable from its own coordinates;
+untouched cells default to the identity of S.  A fresh letter named in the
+next requirement of a chain adds a bounded number of bits to the next index,
+so certificate indices grow linearly with word length.
 
 Every certificate-producing operation (the six claims, span_witness,
 express_pair, inverse_of) re-verifies its output by evaluation before
@@ -70,36 +73,76 @@ Letter = Union[ALetter, BLetter, SElem]
 
 
 # ---------------------------------------------------------------------------
-# Stage encoding: self-delimiting binary tuple codes.  The encoded number is
-# strictly larger than every component, which is what makes fresh indices
-# (stage+1) immune to reference cycles between requirements.
+# Stage encoding.  A requirement (kind, n1, s1, n2, s2, c1, c2, skip) owns
+# the stage whose binary expansion is "1" δ(kind) δ(n1) δ(s1) δ(n2) δ(s2)
+# δ(c1) f [δ(c2)] δ(skip): each component in the Elias-delta code δ, and a
+# flag bit f that is 1 when c2 == c1, in which case δ(c2) is left out.  The
+# code is prefix-free and the decoder accepts only the canonical string, so
+# requirements and stages correspond one to one.
+#
+# δ(x) takes at least bitlen(x+1) bits, and the leading 1, the flag and the
+# other fields at least eight more, so the stage exceeds every component and
+# the fresh index stage+1 can never be named by its own requirement.  Nine
+# bits at least also means every integer below 2^8 encodes nothing.
+#
+# δ(x) is bitlen(x+1) + O(log bitlen(x)) bits, so a chain step whose
+# colours are both the previous fresh letter (claim1, claim3, claim4,
+# _back_chain) adds a bounded number of bits to the index, and index length
+# grows linearly with chain depth.  Writing that colour twice at full
+# length, without the flag, would double the index length at every step.
 
 def _gamma(x: int) -> str:
     b = bin(x + 1)[2:]
     return "0" * (len(b) - 1) + b
 
 
+def _delta(x: int) -> str:
+    b = bin(x + 1)[2:]
+    return _gamma(len(b) - 1) + b[1:]
+
+
 def _encode(parts: Sequence[int]) -> int:
-    return int("1" + "".join(_gamma(x) for x in parts), 2)
+    kind, n1, s1, n2, s2, c1, c2, skip = parts
+    head = "".join(_delta(x) for x in (kind, n1, s1, n2, s2, c1))
+    colour2 = "1" if c2 == c1 else "0" + _delta(c2)
+    return int("1" + head + colour2 + _delta(skip), 2)
 
 
-def _decode(t: int, count: int) -> Optional[tuple[int, ...]]:
+def _delta_at(bits: str, pos: int) -> tuple[int, int]:
+    """The δ codeword starting at bits[pos] as (value, end); end -1 if cut short."""
+    one = bits.find("1", pos)
+    mid = 2 * one - pos + 1  # end of the gamma code of the payload length
+    if one < 0 or mid > len(bits):
+        return 0, -1
+    end = mid + int(bits[one:mid], 2) - 1
+    if end > len(bits):
+        return 0, -1
+    return int("1" + bits[mid:end], 2) - 1, end
+
+
+def _decode(t: int) -> Optional[tuple[int, ...]]:
     if t < 1:
         return None
     bits = bin(t)[3:]
     out = []
     pos = 0
-    for _ in range(count):
-        z = 0
-        while pos < len(bits) and bits[pos] == "0":
-            z += 1
-            pos += 1
-        if pos + z + 1 > len(bits):
+    for _ in range(6):
+        x, pos = _delta_at(bits, pos)
+        if pos < 0:
             return None
-        out.append(int(bits[pos:pos + z + 1], 2) - 1)
-        pos += z + 1
+        out.append(x)
+    if bits[pos:pos + 1] == "1":
+        out.append(out[5])
+        pos += 1
+    else:
+        c2, pos = _delta_at(bits, pos + 1)
+        if pos < 0 or c2 == out[5]:
+            return None
+        out.append(c2)
+    skip, pos = _delta_at(bits, pos)
     if pos != len(bits):
         return None
+    out.append(skip)
     return tuple(out)
 
 
@@ -154,14 +197,14 @@ class TwoTransitiveMatrix:
         if hit is not None:
             return hit
         val: Optional[Letter] = None
-        req = _decode(b.n - 1, 8) if b.n >= 1 else None
+        req = _decode(b.n - 1) if b.n >= 1 else None
         if req is not None and req[0] == _COL and req[1:3] != req[3:5]:
             if (a.n, z) == req[1:3]:
                 val = self.w_letter(req[5])
             elif (a.n, z) == req[3:5]:
                 val = self.w_letter(req[6])
         if val is None:
-            req = _decode(a.n - 1, 8) if a.n >= 1 else None
+            req = _decode(a.n - 1) if a.n >= 1 else None
             if req is not None and req[0] == _ROW and req[1:3] != req[3:5]:
                 if (b.n, z) == req[1:3]:
                     val = self.w_letter(req[5])

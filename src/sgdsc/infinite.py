@@ -10,7 +10,6 @@ each model is defined here, once, for the CLI and the tests.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -157,23 +156,15 @@ class APSet:
         return [n for n in range(upto + 1) if self.member(n)]
 
 
-def _combine(a: APSet, b: APSet, op) -> APSet:
-    # op acts on residue sets and on membership bits alike; off the patches
-    # membership is class membership, so only patch points are rechecked
-    big = math.lcm(a.modulus, b.modulus)
-    classes = op(*({r + k for r in s.residues for k in range(0, big, s.modulus)}
-                   for s in (a, b)))
-    points = a.plus | a.minus | b.plus | b.minus
-    plus = {n for n in points if op(a.member(n), b.member(n))}
-    return APSet([(big, r) for r in classes], plus, points - plus)
-
-
 def apset_intersect(a: APSet, b: APSet) -> APSet:
-    return _combine(a, b, operator.and_)
-
-
-def apset_union(a: APSet, b: APSet) -> APSet:
-    return _combine(a, b, operator.or_)
+    # off the patches membership is class membership, so only patch points
+    # are rechecked
+    big = math.lcm(a.modulus, b.modulus)
+    a_classes, b_classes = ({r + k for r in s.residues for k in range(0, big, s.modulus)}
+                            for s in (a, b))
+    points = a.plus | a.minus | b.plus | b.minus
+    plus = {n for n in points if a.member(n) and b.member(n)}
+    return APSet([(big, r) for r in a_classes & b_classes], plus, points - plus)
 
 
 def apset_is_empty(a: APSet) -> bool:

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sgdsc import byleen, finite
 from sgdsc.byleen import ALetter, BLetter, NormalForm, SElem
@@ -126,6 +127,74 @@ def test_entry_balanced_under_actions(mat):
             mat.entry(a, byleen.b_act(mat, s, b))
 
 
+# -- stage encoding -------------------------------------------------------
+
+components = st.integers(0, 2 ** 80)
+
+
+@st.composite
+def requirements(draw):
+    """(kind, n1, s1, n2, s2, c1, c2, skip), with c2 == c1 half the time."""
+    kind = draw(st.sampled_from((byleen._COL, byleen._ROW)))
+    n1, s1, n2, s2, c1, skip = draw(st.lists(components, min_size=6, max_size=6))
+    c2 = c1 if draw(st.booleans()) else draw(components)
+    return (kind, n1, s1, n2, s2, c1, c2, skip)
+
+
+@settings(max_examples=500, deadline=None)
+@given(requirements())
+def test_encoding_round_trip(parts):
+    t = byleen._encode(parts)
+    assert byleen._decode(t) == parts
+    assert t > max(parts)
+
+
+@settings(max_examples=500, deadline=None)
+@given(requirements(), st.integers(0, 10 ** 6))
+def test_decode_accepts_only_canonical_codes(parts, pos):
+    # a code with one bit below the leading 1 flipped encodes nothing, or
+    # is the one code of the requirement it decodes to
+    t = byleen._encode(parts)
+    t ^= 1 << pos % (t.bit_length() - 1)
+    req = byleen._decode(t)
+    assert req is None or byleen._encode(req) == t
+
+
+def test_small_integers_encode_no_requirement():
+    assert all(byleen._decode(t) is None for t in range(256))
+    assert all(byleen._decode(t) is None or byleen._encode(byleen._decode(t)) == t
+               for t in range(1 << 14))
+
+
+def span_pairs(mat, length, rng):
+    """(g, h) in each of span_witness's four cases, with words of the given length."""
+    def a_word():
+        return tuple(ALetter(rng.randint(0, 2), rng.randint(0, 1)) for _ in range(length))
+
+    def b_word():
+        return tuple(BLetter(rng.randint(0, 2), rng.randint(0, 1)) for _ in range(length))
+
+    u, v = a_word(), b_word()
+    x, y = a_word(), b_word()
+    while x == u:
+        x = a_word()
+    while y == v:
+        y = b_word()
+    g = NormalForm(v, 1, u, mat)
+    return [(g, NormalForm(hv, 0, hu, mat)) for hv, hu in ((v, u), (v, x), (y, u), (y, x))]
+
+
+def test_index_bits_grow_linearly_with_word_length():
+    m = byleen.TwoTransitiveMatrix(finite.cyclic_group(2))
+    rng = random.Random(9)
+    for length in range(1, 33):
+        for g, h in span_pairs(m, length, rng):
+            expr = byleen.span_witness(m, g, h, SElem(1), ALetter(0, 0))
+            bits = max(w.n.bit_length() for f in expr.factors if f[0] != byleen.GEN
+                       for w in f[1].letters() if not isinstance(w, SElem))
+            assert bits <= 48 * length + 64, (length, expr.case, bits)
+
+
 # -- rewriting ------------------------------------------------------------
 
 def test_reduce_entry_pair(mat):
@@ -160,6 +229,39 @@ def test_reduce_strategy_independence(mat):
     for _ in range(200):
         word = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
         assert byleen.reduce(mat, word) == byleen.reduce_rightmost(mat, word)
+
+
+small_a = st.builds(ALetter, st.integers(0, 2), st.integers(0, 1))
+small_b = st.builds(BLetter, st.integers(0, 2), st.integers(0, 1))
+small = st.one_of(small_a, small_b, st.builds(SElem, st.integers(0, 1)))
+
+
+@st.composite
+def words_with_fresh_letters(draw):
+    """A matrix and a word mixing small letters, fresh rows and columns, and
+    the two-letter products that hit a fresh letter's requirement cells."""
+    m = byleen.TwoTransitiveMatrix(finite.cyclic_group(2))
+    pool, cells = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        colour = st.one_of(small, st.sampled_from(pool)) if pool else small
+        a1, a2 = draw(st.lists(small_a, min_size=2, max_size=2, unique=True))
+        b = m.find_column(a1, a2, draw(colour), draw(colour))
+        b1, b2 = draw(st.lists(small_b, min_size=2, max_size=2, unique=True))
+        a = m.find_row(b1, b2, draw(colour), draw(colour))
+        pool += [b, a]
+        cells += [[a1, b], [a2, b], [a, b1], [a, b2]]
+    chunks = st.one_of(small.map(lambda w: [w]), st.sampled_from(pool).map(lambda w: [w]),
+                       st.sampled_from(cells))
+    word = draw(st.lists(chunks, max_size=8))
+    word.insert(draw(st.integers(0, len(word))), draw(st.sampled_from(cells)))
+    return m, [w for chunk in word for w in chunk]
+
+
+@settings(max_examples=300, deadline=None)
+@given(words_with_fresh_letters())
+def test_reduce_matches_rightmost_oracle_on_fresh_letters(case):
+    m, word = case
+    assert byleen.reduce(m, word) == byleen.reduce_rightmost(m, word)
 
 
 def test_nf_mul_identity_and_no_redex(mat):

@@ -1,6 +1,9 @@
 """End-to-end CLI behaviour: JSON reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -186,15 +189,27 @@ def test_byleen_span(capsys):
     code, out, _ = run(capsys, ["byleen", "span", "a(0,s0)", "b(0,s0)",
                                 "s1", "a(2,s1)"])
     assert code == 0
+    assert json.loads(out) == {"case": "both-differ", "factors": [
+        {"diag": "a(738563639253815511370,s0)"}, {"diag": "a(170584,s0)"},
+        {"diag": "1"}, {"gen": ["a(0,s0)", "b(0,s0)"]}, {"diag": "1"},
+        {"diag": "b(3920,s0) b(208614811572,s0)"}], "verified": True}
+
+
+def test_byleen_span_length_32(capsys):
+    a_word = " ".join(f"a({i % 3},s{i % 2})" for i in range(32))
+    b_word = " ".join(f"b({i % 3},s{(i + 1) % 2})" for i in range(32))
+    code, out, _ = run(capsys, ["byleen", "span", f"{b_word} s1 {a_word}", a_word,
+                                "s1", "a(2,s1)"])
+    assert code == 0
     doc = json.loads(out)
-    assert doc["verified"] is True and doc["factors"]
-    assert doc["case"] == "both-differ"
+    assert doc["verified"] is True and doc["case"] == "b-words-differ"
 
 
 def test_byleen_inverse(capsys):
     code, out, _ = run(capsys, ["byleen", "inverse", "b(0,s0) s1 a(0,s0)"])
     assert code == 0
-    assert json.loads(out)["verified"] is True
+    assert json.loads(out) == {"element": "b(0,s0) s1 a(0,s0)",
+                               "inverse": "b(3920,s0) s1 a(21328,s0)", "verified": True}
 
 
 def test_byleen_parse_error(capsys):
@@ -250,3 +265,14 @@ def test_byleen_failed_certificate_exits_1(capsys, monkeypatch):
                                   "s1", "a(2,s1)"])
     assert code == 1 and out == ""
     assert "certificate" in json.loads(err)["error"]
+
+
+def test_module_entry_point_runs_once():
+    # `python -m sgdsc.cli` must not find sgdsc.cli already imported by the package
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "sgdsc.cli",
+                           "enumerate", "2", "--oracle"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["oracle"] == "pass"

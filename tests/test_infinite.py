@@ -108,7 +108,8 @@ def test_apset_intersect_lcm_modulus():
 
 
 def test_apset_union_and_membership():
-    u = infinite.apset_union(APSet(((4, 0),)), APSet((), frozenset({3}), frozenset()))
+    # the constructor forms the union of its progressions and its plus points
+    u = APSet(((4, 0),), frozenset({3}))
     assert u.member(0) and u.member(3) and u.member(8) and not u.member(5)
     assert u.is_infinite()
 
