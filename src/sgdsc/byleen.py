@@ -362,11 +362,30 @@ def nf_mul(x: NormalForm, y: NormalForm) -> NormalForm:
     return reduce(x.mat, x.letters() + y.letters())
 
 
+_CHUNK = 10 ** 1000
+
+
+def _decimal(x: int) -> str:
+    """str(x) for x >= 0, also past Python's int-to-str digit limit.
+
+    Below 8000 bits (at most 2409 digits, under the default limit of 4300)
+    this is str(x).  Larger indices are cut into 1000-digit chunks by
+    repeated divmod, each written zero-padded except the leading one.
+    """
+    if x.bit_length() < 8000:
+        return str(x)
+    chunks = []
+    while x:
+        x, r = divmod(x, _CHUNK)
+        chunks.append(r)
+    return str(chunks.pop()) + "".join(f"{r:01000d}" for r in reversed(chunks))
+
+
 def render(nf: NormalForm) -> str:
-    toks = [f"b({b.n},s{b.s})" for b in nf.v]
+    toks = [f"b({_decimal(b.n)},s{b.s})" for b in nf.v]
     if nf.s != nf.mat.identity or (not nf.v and not nf.u):
         toks.append("1" if nf.s == nf.mat.identity else f"s{nf.s}")
-    toks.extend(f"a({a.n},s{a.s})" for a in nf.u)
+    toks.extend(f"a({_decimal(a.n)},s{a.s})" for a in nf.u)
     return " ".join(toks)
 
 

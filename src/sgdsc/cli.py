@@ -74,7 +74,7 @@ def cmd_check(args) -> int:
     add("dsc", dsc, dsc_witness)
 
     if args.brute:
-        if s.order > 4:
+        if s.order > relations.SUBSET_SCAN_MAX_ORDER:
             checks.append({"name": "dsc_brute", "pass": True, "skipped": True,
                            "witness": {"reason": "order exceeds subset-scan bound"}})
         else:
@@ -93,8 +93,15 @@ def cmd_check(args) -> int:
 # sg enumerate
 
 def cmd_enumerate(args) -> int:
-    if not 1 <= args.n <= 4:
-        print(json.dumps({"error": "enumeration order must be between 1 and 4"}),
+    top = finite.MAX_ENUMERATION_ORDER
+    if not 1 <= args.n <= top:
+        print(json.dumps({"error": f"enumeration order must be between 1 and {top}"}),
+              file=sys.stderr)
+        return 2
+    if args.oracle and args.n > relations.SUBSET_SCAN_MAX_ORDER:
+        print(json.dumps({"error": "--oracle is capped at order "
+                                   f"{relations.SUBSET_SCAN_MAX_ORDER}, the cap of the "
+                                   "subset scan brute_force_is_dsc"}),
               file=sys.stderr)
         return 2
     if args.oracle:
@@ -123,13 +130,9 @@ def cmd_enumerate(args) -> int:
                "oracle": "pass", "witness_strategies": strategies}, args.pretty)
         return 0
     if args.count:
-        labeled = 0
-        canon = set()
-        for s in finite.enumerate_semigroups(args.n):
-            labeled += 1
-            canon.add(finite.canonical_form(s))
-        _emit({"order": args.n, "labeled": labeled,
-               "isomorphism_classes": len(canon)}, args.pretty)
+        labeled, classes = finite.count_semigroups(args.n)
+        _emit({"order": args.n, "labeled": labeled, "isomorphism_classes": classes},
+              args.pretty)
         return 0
     for s in finite.enumerate_semigroups(args.n):
         _emit({"order": args.n, "table": [list(r) for r in s.table]}, args.pretty)
@@ -246,8 +249,19 @@ def cmd_models(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports argument errors as a JSON object on stderr, with exit code 2.
+
+    Subcommand parsers are built from the same class.
+    """
+
+    def error(self, message):
+        print(json.dumps({"error": message}), file=sys.stderr)
+        sys.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sg", description=__doc__)
+    parser = _Parser(prog="sg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="validate a Cayley table and run DSC checks")
@@ -262,8 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate small semigroups")
     p.add_argument("n", type=int)
-    p.add_argument("--oracle", action="store_true")
-    p.add_argument("--count", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--oracle", action="store_true")
+    mode.add_argument("--count", action="store_true")
     p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("witness", help="emit a non-DSC witness for a table")

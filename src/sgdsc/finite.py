@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Container, Hashable, Iterable, Iterator, Optional, Sequence
@@ -483,48 +484,163 @@ def quotient(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]]):
 
 
 # ---------------------------------------------------------------------------
-# Enumeration and canonical forms
+# Enumeration and Burnside counts
 
-def enumerate_semigroups(n: int) -> Iterator[FiniteSemigroup]:
-    """All labeled associative tables of order n, by backtracking (n <= 4)."""
-    if n > 4:
-        raise TooLarge(f"labeled enumeration capped at order 4, got {n}")
-    table = [[-1] * n for _ in range(n)]
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    rng = range(n)
+# Largest order enumerate_semigroups and count_semigroups accept.
+MAX_ENUMERATION_ORDER = 5
 
-    def consistent() -> bool:
-        for a in rng:
-            ta = table[a]
-            for b in rng:
-                ab = ta[b]
-                if ab < 0:
-                    continue
-                tb = table[b]
-                for c in rng:
-                    bc = tb[c]
-                    if bc < 0:
-                        continue
-                    x = table[ab][c]
-                    y = ta[bc]
-                    if x >= 0 and y >= 0 and x != y:
-                        return False
+
+def _associative_tables(n: int, sigma: Optional[Sequence[int]] = None) -> Iterator[list[int]]:
+    """Associative tables of order n, flat and row-major, in lexicographic order.
+
+    Depth-first search that branches on the first unset cell, values
+    ascending.  Each assigned cell is propagated through the associativity
+    triples (x, y, z) it takes part in, as xy, yz, (xy)z or x(yz): once xy
+    and yz are known, a known (xy)z forces x(yz) and the other way round,
+    and two known ones must agree.  Every completion keeps the forced cells,
+    so propagation prunes without reordering the output.  An undo trail
+    restores the cells set below a branch.
+
+    With a permutation ``sigma`` only the tables it fixes are produced:
+    cell (i, j) = v ties cell (sigma i, sigma j) to sigma v.  Each table is
+    the search's own list, valid until the generator resumes.
+    """
+    size = n * n
+    t = [-1] * size
+    trail: list[int] = []                               # assigned cells, in order
+    holding: list[list[int]] = [[] for _ in range(n)]   # assigned cells by value
+    row_of = [k // n for k in range(size)]
+    col_of = [k % n for k in range(size)]
+    row_at = [k - k % n for k in range(size)]           # flat index of (row, 0)
+    col_at = [k % n * n for k in range(size)]           # flat index of (col, 0)
+    tie = None if sigma is None else [sigma[k // n] * n + sigma[k % n] for k in range(size)]
+    span = range(n)
+    starts = range(0, size, n)
+
+    def put(k: int, v: int) -> None:
+        t[k] = v
+        trail.append(k)
+        holding[v].append(k)
+
+    def unify(a: int, b: int) -> bool:
+        """Cells a and b hold different values: set the unknown one, or fail."""
+        x, y = t[a], t[b]
+        if x < 0:
+            put(a, y)
+        elif y < 0:
+            put(b, x)
+        else:
+            return False
         return True
 
-    def fill(k: int) -> Iterator[FiniteSemigroup]:
-        if k == len(cells):
-            yield FiniteSemigroup(
-                n, tuple(tuple(row) for row in table),
-                tuple(f"x{i}" for i in range(n)))
-            return
-        i, j = cells[k]
-        for v in rng:
-            table[i][j] = v
-            if consistent():
-                yield from fill(k + 1)
-        table[i][j] = -1
+    def assign(k: int, v: int) -> bool:
+        """Set cell k to v and propagate; False on a contradiction."""
+        put(k, v)
+        head = len(trail) - 1
+        while head < len(trail):
+            k = trail[head]
+            head += 1
+            v = t[k]
+            i, j = row_of[k], col_of[k]
+            i_n, j_n, v_n = row_at[k], col_at[k], v * n
+            if tie is not None:
+                m, w = tie[k], sigma[v]
+                if t[m] != w:
+                    if t[m] >= 0:
+                        return False
+                    put(m, w)
+            for z in span:                  # k = xy: (v)z against x(yz)
+                q = t[j_n + z]
+                if q >= 0 and t[v_n + z] != t[i_n + q] and not unify(v_n + z, i_n + q):
+                    return False
+            for x_n in starts:              # k = yz: (xy)z against x(v)
+                p = t[x_n + i]
+                if p >= 0 and t[p * n + j] != t[x_n + v] and not unify(p * n + j, x_n + v):
+                    return False
+            for m in holding[i]:            # k = (xy)z with xy = m
+                q = t[col_at[m] + j]
+                if q >= 0 and t[row_at[m] + q] != v and not unify(k, row_at[m] + q):
+                    return False
+            for m in holding[j]:            # k = x(yz) with yz = m
+                p = t[i_n + row_of[m]]
+                if p >= 0 and t[p * n + col_of[m]] != v and not unify(p * n + col_of[m], k):
+                    return False
+        return True
 
-    yield from fill(0)
+    # frames [cell, next value, trail length at entry]
+    stack = [[0, 0, 0]]
+    while stack:
+        frame = stack[-1]
+        k, v, mark = frame
+        while len(trail) > mark:
+            m = trail.pop()
+            holding[t[m]].pop()
+            t[m] = -1
+        if v == n:
+            stack.pop()
+            continue
+        frame[1] = v + 1
+        if not assign(k, v):
+            continue
+        while k < size and t[k] >= 0:
+            k += 1
+        if k == size:
+            yield t
+        else:
+            stack.append([k, 0, len(trail)])
+
+
+def _check_enumeration_order(n: int) -> None:
+    if type(n) is not int or n < 1:
+        raise SemigroupError("order must be a positive integer")
+    if n > MAX_ENUMERATION_ORDER:
+        raise TooLarge(f"enumeration capped at order {MAX_ENUMERATION_ORDER}, got {n}")
+
+
+def enumerate_semigroups(n: int) -> Iterator[FiniteSemigroup]:
+    """All labeled associative tables of order n (1 <= n <= 5).
+
+    Tables come in lexicographic order of their rows, from the propagating
+    search of ``_associative_tables``.
+    """
+    _check_enumeration_order(n)
+    names = tuple(f"x{i}" for i in range(n))
+    for t in _associative_tables(n):
+        yield FiniteSemigroup(n, tuple(tuple(t[r:r + n]) for r in range(0, n * n, n)), names)
+
+
+def _cycle_types(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into parts of at most ``largest``, parts descending."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, largest), 0, -1):
+        for rest in _cycle_types(n - part, part):
+            yield (part,) + rest
+
+
+def count_semigroups(n: int) -> tuple[int, int]:
+    """(labeled tables, isomorphism classes) of order n (1 <= n <= 5).
+
+    Burnside's lemma over the relabelings: the classes number
+    sum |class(sigma)| * Fix(sigma) / n! over one permutation sigma of each
+    cycle type, where Fix(sigma) counts the tables sigma fixes; the labeled
+    count is Fix(id).  No table object is built.
+    """
+    _check_enumeration_order(n)
+    labeled = weighted = 0
+    for cycles in _cycle_types(n, n):
+        sigma: list[int] = []
+        for c in cycles:
+            sigma += [len(sigma) + (r + 1) % c for r in range(c)]
+        conjugates = math.factorial(n)
+        for c in set(cycles):
+            conjugates //= c ** cycles.count(c) * math.factorial(cycles.count(c))
+        moved = cycles[0] > 1
+        fixed = sum(1 for _ in _associative_tables(n, sigma if moved else None))
+        if not moved:
+            labeled = fixed
+        weighted += conjugates * fixed
+    return labeled, weighted // math.factorial(n)
 
 
 def relabel(s: FiniteSemigroup, perm: Sequence[int]) -> FiniteSemigroup:
@@ -538,18 +654,6 @@ def relabel(s: FiniteSemigroup, perm: Sequence[int]) -> FiniteSemigroup:
     for i in range(n):
         names[perm[i]] = s.names[i]
     return FiniteSemigroup(n, tuple(tuple(r) for r in table), tuple(names))
-
-
-def canonical_form(s: FiniteSemigroup) -> tuple[tuple[int, ...], ...]:
-    """Minimum table over all relabelings; constant on isomorphism classes (n <= 5)."""
-    if s.order > 5:
-        raise TooLarge(f"canonical_form capped at order 5, got {s.order}")
-    best = None
-    for perm in itertools.permutations(range(s.order)):
-        cand = relabel(s, perm).table
-        if best is None or cand < best:
-            best = cand
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,10 @@ def is_congruence(s: FiniteSemigroup, rho: PairSet) -> bool:
 # ---------------------------------------------------------------------------
 # DSC decisions
 
+# Largest order the subset scan (brute_force_is_dsc) accepts.
+SUBSET_SCAN_MAX_ORDER = 4
+
+
 def _closed_masks(s: FiniteSemigroup) -> Iterator[int]:
     """Masks of the diagonal subsemigroups of S x S in increasing order (order <= 4).
 
@@ -199,8 +203,8 @@ def _closed_masks(s: FiniteSemigroup) -> Iterator[int]:
     cost follows the number of closed masks, not 2^(n^2 - n).
     """
     n = s.order
-    if n > 4:
-        raise TooLarge(f"subset scan capped at order 4, got {n}")
+    if n > SUBSET_SCAN_MAX_ORDER:
+        raise TooLarge(f"subset scan capped at order {SUBSET_SCAN_MAX_ORDER}, got {n}")
     diag = sum(1 << x * (n + 1) for x in range(n))
     off = [p for p in range(n * n) if not diag >> p & 1]
     mask = diag

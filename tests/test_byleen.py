@@ -308,6 +308,27 @@ def test_render(mat):
     assert byleen.render(NormalForm((BLetter(0, 0),), 0, (), mat)) == "b(0,s0)"
 
 
+def test_render_indices_past_digit_limit(mat):
+    # read back by Horner's rule over chunks short enough for int()
+    def read(digits):
+        x = 0
+        for i in range(0, len(digits), 1000):
+            chunk = digits[i:i + 1000]
+            x = x * 10 ** len(chunk) + int(chunk)
+        return x
+
+    rng = random.Random(11)
+    indices = [rng.getrandbits(bits) | 1 << bits - 1 for bits in (1, 7999, 8000, 8001, 40000)]
+    indices += [10 ** 2408, 10 ** 3000, 10 ** 5000 + 7, 10 ** 2000 - 1]
+    for x in indices:
+        text = byleen.render(NormalForm((BLetter(x, 0),), 1, (ALetter(x, 1),), mat))
+        b, s, a = text.split()
+        assert s == "s1" and b[:2] == "b(" and b.endswith(",s0)") and a.endswith(",s1)")
+        digits = b[2:-4]
+        assert digits == a[2:-4] and digits[0] != "0"
+        assert read(digits) == x
+
+
 # -- claims ---------------------------------------------------------------
 
 def test_claim1(mat):

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: JSON reports, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -156,10 +157,44 @@ def test_enumerate_count(capsys, n, labeled, classes):
     assert doc["labeled"] == labeled and doc["isomorphism_classes"] == classes
 
 
+def test_enumerate_count_order_5(capsys):
+    code, out, _ = run(capsys, ["enumerate", "5", "--count"])
+    assert code == 0
+    assert out == '{"isomorphism_classes": 1915, "labeled": 183732, "order": 5}\n'
+
+
+@pytest.mark.parametrize("n, digest", [
+    ("3", "6db82081f3787c25c8cc9887348ee87b1fa66cf83b14549fe5e7ce13ba4f56e0"),
+    ("4", "b4afa0f64d131c7a3ad239a11a041fa62f8ad3539c3eea241cd995897ab85cd7"),
+], ids=["3", "4"])
+def test_enumerate_output_pinned(capsys, n, digest):
+    code, out, _ = run(capsys, ["enumerate", n])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_enumerate_cap(capsys):
-    code, _, err = run(capsys, ["enumerate", "5"])
-    assert code == 2
-    assert "error" in json.loads(err)
+    code, out, err = run(capsys, ["enumerate", "6"])
+    assert code == 2 and out == ""
+    assert "between 1 and 5" in json.loads(err)["error"]
+
+
+def test_enumerate_oracle_cap(capsys):
+    code, out, err = run(capsys, ["enumerate", "5", "--oracle"])
+    assert code == 2 and out == ""
+    assert "capped at order 4" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "x"],
+                                  ["enumerate", "3", "--oracle", "--count"],
+                                  ["models", "nonesuch"]],
+                         ids=["not-an-int", "oracle-and-count", "bad-choice"])
+def test_argument_errors_are_json(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "error" in json.loads(captured.err)
 
 
 @pytest.mark.parametrize("n", ["-1", "0"])
@@ -203,6 +238,31 @@ def test_byleen_span_length_32(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["verified"] is True and doc["case"] == "b-words-differ"
+
+
+def test_byleen_span_length_500(capsys):
+    # stage indices pass Python's 4300-digit int-to-str limit here
+    a_word = " ".join(["a(0,s0)"] * 500)
+    b_word = " ".join(["b(0,s0)"] * 500)
+    code, out, _ = run(capsys, ["byleen", "span", f"{b_word} s1 {a_word}", a_word,
+                                "s1", "a(2,s1)"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verified"] is True and doc["case"] == "b-words-differ"
+    digits = max(len(tok[2:tok.index(",")]) for f in doc["factors"] if "diag" in f
+                 for tok in f["diag"].split() if tok[0] in "ab")
+    assert digits > 4300
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no int-from-str digit limit is in force")
+def test_byleen_input_index_keeps_digit_limit(capsys):
+    digits = "1" * (DIGIT_LIMIT + 1)
+    code, out, err = run(capsys, ["byleen", "eval", f"a({digits},s0)"])
+    assert code == 2 and out == ""
+    assert "error" in json.loads(err)
 
 
 def test_byleen_inverse(capsys):

@@ -2,11 +2,49 @@
 
 import itertools
 import json
-import random
 
 import pytest
 
 from sgdsc import finite, relations
+
+
+def canonical_form(s):
+    """Least table over all relabelings: equal exactly on isomorphic tables."""
+    return min(finite.relabel(s, perm).table
+               for perm in itertools.permutations(range(s.order)))
+
+
+def rescan_semigroups(n):
+    """Tables of order n in row-major lexicographic order, by a backtracker that
+    re-checks every triple of known cells after each assignment."""
+    table = [[-1] * n for _ in range(n)]
+    cells = [(i, j) for i in range(n) for j in range(n)]
+
+    def consistent():
+        for a in range(n):
+            for b in range(n):
+                ab = table[a][b]
+                for c in range(n):
+                    bc = table[b][c]
+                    if ab < 0 or bc < 0:
+                        continue
+                    x, y = table[ab][c], table[a][bc]
+                    if x >= 0 and y >= 0 and x != y:
+                        return False
+        return True
+
+    def fill(k):
+        if k == len(cells):
+            yield tuple(tuple(row) for row in table)
+            return
+        i, j = cells[k]
+        for v in range(n):
+            table[i][j] = v
+            if consistent():
+                yield from fill(k + 1)
+        table[i][j] = -1
+
+    return list(fill(0))
 
 
 def test_validate_left_zero():
@@ -123,13 +161,13 @@ def test_natural_partial_order_requires_inverse():
 def test_rees_matrix_left_zero():
     spec = finite.ReesSpec(finite.trivial_monoid(), 2, 1, ((0, 0),))
     rm = finite.rees_matrix(spec)
-    assert finite.canonical_form(rm) == finite.canonical_form(finite.left_zero(2))
+    assert canonical_form(rm) == canonical_form(finite.left_zero(2))
 
 
 def test_rees_matrix_c2():
     spec = finite.ReesSpec(finite.cyclic_group(2), 1, 1, ((0,),))
     rm = finite.rees_matrix(spec)
-    assert finite.canonical_form(rm) == finite.canonical_form(finite.cyclic_group(2))
+    assert canonical_form(rm) == canonical_form(finite.cyclic_group(2))
 
 
 def test_rees_matrix_simple_exhaustive_small():
@@ -155,7 +193,7 @@ def test_quotient_c4_by_02():
     c4 = finite.cyclic_group(4)
     sigma = relations.congruence_generated(c4, [(0, 2)])
     q, class_of = finite.quotient(c4, sigma.pairs)
-    assert finite.canonical_form(q) == finite.canonical_form(finite.cyclic_group(2))
+    assert canonical_form(q) == canonical_form(finite.cyclic_group(2))
     assert class_of[0] == class_of[2] and class_of[1] == class_of[3]
 
 
@@ -188,7 +226,17 @@ def test_enumerate_counts_small():
 
 def test_enumerate_too_large():
     with pytest.raises(finite.TooLarge):
-        list(finite.enumerate_semigroups(5))
+        list(finite.enumerate_semigroups(6))
+    with pytest.raises(finite.TooLarge):
+        finite.count_semigroups(6)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_enumerate_rejects_order_below_one(n):
+    with pytest.raises(finite.SemigroupError, match="positive"):
+        list(finite.enumerate_semigroups(n))
+    with pytest.raises(finite.SemigroupError, match="positive"):
+        finite.count_semigroups(n)
 
 
 def test_enumerate_no_duplicates_order_3():
@@ -196,16 +244,39 @@ def test_enumerate_no_duplicates_order_3():
     assert len(tables) == len(set(tables)) == 113
 
 
-def test_canonical_form_relabel_invariant():
-    rng = random.Random(5)
-    subjects = [finite.left_zero(3), finite.cyclic_group(4),
-                finite.min_semilattice(), finite.klein_four()]
-    for s in subjects:
-        base = finite.canonical_form(s)
-        for _ in range(20):
-            perm = list(range(s.order))
-            rng.shuffle(perm)
-            assert finite.canonical_form(finite.relabel(s, perm)) == base
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumerate_matches_rescan_backtracker(n):
+    # same tables in the same order as the search without propagation
+    assert [s.table for s in finite.enumerate_semigroups(n)] == rescan_semigroups(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_count_semigroups_matches_canonical_forms(n):
+    tables = list(finite.enumerate_semigroups(n))
+    assert finite.count_semigroups(n) == (len(tables), len(set(map(canonical_form, tables))))
+
+
+def _cycle_type(perm):
+    seen, lengths = set(), []
+    for start in range(len(perm)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x, length = perm[x], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fixed_tables_match_relabel_fixed_points(n):
+    # one permutation of each cycle type, the last in lexicographic order
+    sigmas = {_cycle_type(p): p for p in itertools.permutations(range(n))}
+    tables = list(finite.enumerate_semigroups(n))
+    for sigma in sigmas.values():
+        fixed = [tuple(tuple(t[r:r + n]) for r in range(0, n * n, n))
+                 for t in finite._associative_tables(n, sigma)]
+        assert fixed == [s.table for s in tables if finite.relabel(s, sigma).table == s.table]
 
 
 def test_structural_implications_order_3():
@@ -242,7 +313,7 @@ def test_symmetric_inverse_monoids():
 def test_direct_product_klein():
     c2 = finite.cyclic_group(2)
     prod = finite.direct_product(c2, c2)
-    assert finite.canonical_form(prod) == finite.canonical_form(finite.klein_four())
+    assert canonical_form(prod) == canonical_form(finite.klein_four())
 
 
 def test_endomorphism_table_validation():
