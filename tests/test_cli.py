@@ -310,6 +310,40 @@ def test_models_baer_levi_fields(capsys):
     assert checks["membership_pattern"]["pass"] is True
 
 
+# stdout of `sg models <name>`; the suites must not drift
+_MODELS_STDOUT = {
+    "bicyclic":
+        '{"checks": [{"name": "reflexive", "pass": true}, '
+        '{"name": "antisymmetric", "pass": true}, '
+        '{"name": "transitive", "pass": true}, '
+        '{"name": "compatible", "pass": true}, '
+        '{"name": "closed_form_matches_search", "pass": true}, '
+        '{"name": "order_asymmetry_witness", "pass": true}], "model": "bicyclic"}\n',
+    "bruck-reilly":
+        '{"checks": [{"name": "projection_homomorphism_theta_identity", "pass": true}, '
+        '{"name": "pulled_back_order_asymmetry_theta_identity", "pass": true}, '
+        '{"name": "projection_homomorphism_theta_constant", "pass": true}, '
+        '{"name": "pulled_back_order_asymmetry_theta_constant", "pass": true}], '
+        '"model": "bruck-reilly"}\n',
+    "baer-levi":
+        '{"checks": [{"name": "fg_member", "pass": true, "witness": {"intersection": [4]}}, '
+        '{"name": "gh_member", "pass": true, '
+        '"witness": {"intersection": [1, 5, 9, 13, 17, 21, 25, 29]}}, '
+        '{"name": "fh_non_member", "pass": true, "witness": {"intersection": []}}, '
+        '{"name": "membership_pattern", "pass": true}], "model": "baer-levi"}\n',
+    "z":
+        '{"checks": [{"name": "member_2_5", "pass": true}, '
+        '{"name": "non_member_5_2", "pass": true}, '
+        '{"name": "diagonal", "pass": true}], "model": "z"}\n',
+}
+
+
+@pytest.mark.parametrize("name", list(_MODELS_STDOUT))
+def test_models_output_pinned(capsys, name):
+    code, out, _ = run(capsys, ["models", name])
+    assert code == 0 and out == _MODELS_STDOUT[name]
+
+
 def test_timing_only_with_flag(capsys, table_file):
     path = table_file("c2.json", finite.cyclic_group(2))
     _, out, _ = run(capsys, ["check", path])

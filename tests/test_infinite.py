@@ -1,6 +1,8 @@
 """Bicyclic monoid, Bruck-Reilly extensions, integer order, Baer-Levi model."""
 
+import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,14 @@ def test_bicyclic_leq_examples():
     assert infinite.bicyclic_leq(BicyclicElement(3, 5), BicyclicElement(3, 5))
 
 
+def bicyclic_leq_search(x, y, bound=None):
+    """The defining search: x = (k,k)·y for some k <= bound (test oracle)."""
+    if bound is None:
+        bound = max(x.m, x.n, y.m, y.n) + 1
+    return any(infinite.bicyclic_mul(BicyclicElement(k, k), y) == x
+               for k in range(bound + 1))
+
+
 def test_bicyclic_leq_matches_search():
     for m in range(5):
         for n in range(5):
@@ -36,11 +46,158 @@ def test_bicyclic_leq_matches_search():
                 for q in range(5):
                     x, y = BicyclicElement(m, n), BicyclicElement(p, q)
                     assert infinite.bicyclic_leq(x, y) == \
-                        infinite.bicyclic_leq_search(x, y, 12)
+                        bicyclic_leq_search(x, y, 12)
+
+
+# A random statement is (hypotheses, goal): atoms ("leq" | "eq", s, t) over
+# terms that are element indices or (s, t) products; it reads
+# "all hypotheses imply the goal".
+_TERMS = st.recursive(st.integers(0, 3), lambda t: st.tuples(t, t), max_leaves=3)
+_ATOMS = st.tuples(st.sampled_from(["leq", "eq"]), _TERMS, _TERMS)
+
+
+def _indices(term):
+    return {term} if isinstance(term, int) else _indices(term[0]) | _indices(term[1])
+
+
+def _value(term, xs):
+    if isinstance(term, int):
+        return xs[term]
+    return infinite.bicyclic_mul(_value(term[0], xs), _value(term[1], xs))
+
+
+def _atom(rel, s, t, xs):
+    s, t = _value(s, xs), _value(t, xs)
+    return infinite.bicyclic_leq(s, t) if rel == "leq" else s == t
+
+
+def _holds(statement, xs):
+    hypotheses, goal = statement
+    return not all(_atom(*a, xs) for a in hypotheses) or _atom(*goal, xs)
+
+
+def _box_counterexample(statement):
+    """Elements with coordinates in 0..4 refuting the statement, or None.
+
+    Backtracking: each atom is evaluated once its last element is chosen, and
+    a branch ends when a hypothesis fails or the goal holds.
+    """
+    hypotheses, goal = statement
+    box = [BicyclicElement(m, n) for m in range(5) for n in range(5)]
+    wanted = [(a, True) for a in hypotheses] + [(goal, False)]
+    used = sorted(set().union(*(_indices(s) | _indices(t) for (_, s, t), _ in wanted)))
+    due = [[(a, want) for (a, want) in wanted if max(_indices(a[1]) | _indices(a[2])) == v]
+           for v in used]
+    xs = {}
+
+    def search(depth):
+        if depth == len(used):
+            return dict(xs)
+        for x in box:
+            xs[used[depth]] = x
+            if all(_atom(*a, xs) == want for (a, want) in due[depth]):
+                found = search(depth + 1)
+                if found:
+                    return found
+        return None
+    return search(0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_ATOMS, max_size=2), _ATOMS)
+def test_prover_agrees_with_box(hypotheses, goal):
+    statement = (hypotheses, goal)
+    arity = 1 + max(i for (_, s, t) in hypotheses + [goal] for i in _indices(s) | _indices(t))
+    proved = infinite._bicyclic_law(lambda *xs: _holds(statement, xs), arity)
+    counterexample = _box_counterexample(statement)
+    # a box counterexample means not proved; proved means no box counterexample
+    assert not (proved and counterexample), counterexample
+
+
+def test_prover_domains_and_integer_tightening():
+    assert infinite._proved(lambda a: a >= 0, 1)
+    assert not infinite._proved(lambda a: a >= 0, 1, naturals=False)
+    # 2a = 2b + 1 has rational solutions only; dividing 2a - 2b - 1 >= 0 by
+    # the gcd rounds it to a - b - 1 >= 0
+    assert infinite._proved(lambda a, b: not a + a == b + b + 1, 2, naturals=False)
+    assert not infinite._proved(lambda a, b: not a + a == b + 1, 2, naturals=False)
+
+
+def test_prover_caps_branches_per_path():
+    def countdown(a):
+        while a > 0:
+            a = a - 1
+        return True
+    with pytest.raises(RuntimeError):
+        infinite._proved(countdown, 1)
+
+
+def _suite(monkeypatch, name, fn):
+    monkeypatch.setattr(infinite, name, fn)
+    return {c["name"]: c["pass"] for c in infinite.bicyclic_checks()}
+
+
+def test_mutated_leq_breaks_antisymmetry(monkeypatch):
+    assert _suite(monkeypatch, "bicyclic_leq", lambda x, y: x.m >= y.m)["antisymmetric"] is False
+
+
+def test_off_by_one_mul_breaks_closed_form(monkeypatch):
+    def mul(x, y):
+        k = max(x.n, y.m)
+        return BicyclicElement(x.m - x.n + k, y.n - y.m + k + 1)
+    assert _suite(monkeypatch, "bicyclic_mul", mul)["closed_form_matches_search"] is False
+
+
+def test_nonlinear_use_raises_instead_of_proving(monkeypatch):
+    def mul(x, y):
+        k = max(x.n, y.m)
+        return BicyclicElement(x.m - x.n + k if bool(x.m) else k, y.n - y.m + k)
+    with pytest.raises(TypeError):
+        _suite(monkeypatch, "bicyclic_mul", mul)
 
 
 def _theta(mapping):
     return finite.EndomorphismTable(finite.cyclic_group(2), mapping)
+
+
+def _endomorphisms(base):
+    out = []
+    for mapping in itertools.product(range(base.order), repeat=base.order):
+        try:
+            out.append(finite.EndomorphismTable(base, mapping))
+        except finite.SemigroupError:
+            pass
+    return out
+
+
+_SMALL_BASES = {"C2": finite.cyclic_group(2), "C3": finite.cyclic_group(3),
+                "C2xC2": finite.klein_four()}
+
+
+def _naive_theta_power(theta, x, k):
+    for _ in range(k):
+        x = theta.map[x]
+    return x
+
+
+@pytest.mark.parametrize("base", _SMALL_BASES.values(), ids=_SMALL_BASES.keys())
+def test_theta_power_matches_naive_loop(base):
+    for theta in _endomorphisms(base):
+        for x in range(base.order):
+            for k in range(3 * base.order + 1):
+                assert infinite.theta_power(theta, x, k) == _naive_theta_power(theta, x, k)
+
+
+@pytest.mark.parametrize("base", _SMALL_BASES.values(), ids=_SMALL_BASES.keys())
+def test_theta_power_huge_exponent(base):
+    n = base.order
+    for theta in _endomorphisms(base):
+        for x in range(n):
+            start = time.perf_counter()
+            got = infinite.theta_power(theta, x, 10 ** 18)
+            assert time.perf_counter() - start < 0.1
+            # cycles have length <= 4, so every period divides 12
+            assert got == _naive_theta_power(theta, x, n + (10 ** 18 - n) % 12)
 
 
 def test_br_mul_constant_theta_example():
