@@ -1,17 +1,20 @@
 """Finite semigroups as validated Cayley tables.
 
 Elements are dense integer indices 0..order-1; names are display-only.
-Everything here is immutable after construction and safe to share.
+Everything here is immutable after construction and safe to share.  A
+table's derived structure (generators, Cayley graphs, Green's classes, its
+least ideal) is computed on first use and kept by that table object.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Container, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 # Largest order from_json accepts; checked before any table loop runs.
 MAX_ORDER = 1024
@@ -60,6 +63,95 @@ class FiniteSemigroup:
     def __repr__(self):
         return f"FiniteSemigroup(order={self.order}, names={list(self.names)})"
 
+    # The table's analysis.  Each part is computed on first use and kept by
+    # this object, so the predicates and witness_non_dsc all read one
+    # generating set, one set of Cayley graphs, one GreensData and one ideal,
+    # and what a caller never asks for is never computed.
+
+    @functools.cached_property
+    def _generators(self) -> list[int]:
+        """The greedy generating set; validate_cayley stores the one it used."""
+        return greedy_generators(self.table)
+
+    @functools.cached_property
+    def _cayley_graphs(self) -> tuple[list[tuple[int, ...]], ...]:
+        """Right, left and two-sided Cayley graphs over the generating set G:
+        x -> xg, x -> gx and both.
+
+        By associativity, what x reaches in them is xS^1, S^1x and S^1xS^1.
+        """
+        t, gens = self.table, self._generators
+        cols = list(zip(*t))
+        right = list(zip(*(cols[g] for g in gens)))
+        left = list(zip(*(t[g] for g in gens)))
+        return right, left, [a + b for a, b in zip(right, left)]
+
+    @functools.cached_property
+    def _j_components(self) -> list[int]:
+        """Strongly connected components of the two-sided Cayley graph."""
+        return _scc(self._cayley_graphs[2])
+
+    @functools.cached_property
+    def _greens(self) -> GreensData:
+        """R, L and J as strongly connected components of the right, left and
+        two-sided Cayley graphs; H = R∧L; D = join of R and L (= J, checked)."""
+        n = self.order
+        right, left, _ = self._cayley_graphs
+        r, l = (_classes_from_keys(_scc(graph)) for graph in (right, left))
+        j = _classes_from_keys(self._j_components)
+        h = _classes_from_keys([(r[x], l[x]) for x in range(n)])
+        # D = R∘L, the join of R and L: each element joins the first of its R- and L-class
+        first: dict = {}
+        joins = [(x, first.setdefault(key, x))
+                 for x in range(n) for key in (("R", r[x]), ("L", l[x]))]
+        d = _classes_from_keys(list(map(_UnionFind(n, joins).find, range(n))))
+        if d != j:
+            raise SemigroupError("D != J on a finite semigroup; table is corrupt")
+        return GreensData(r, l, j, h, d)
+
+    @functools.cached_property
+    def _proper_ideal(self) -> Optional[frozenset[int]]:
+        """Smallest proper principal two-sided ideal, ties broken by smallest generator.
+
+        S^1xS^1 is what x reaches in the two-sided Cayley graph: one bitset per
+        strongly connected component, filled in reverse topological order.
+        """
+        n = self.order
+        succ = self._cayley_graphs[2]
+        comp = self._j_components
+        reach = [0] * (max(comp) + 1)
+        for x in sorted(range(n), key=comp.__getitem__):
+            cx = comp[x]
+            bits = reach[cx] | 1 << x
+            for y in succ[x]:
+                if comp[y] != cx:
+                    bits |= reach[comp[y]]
+            reach[cx] = bits
+        best = None
+        for x in range(n):
+            size = reach[comp[x]].bit_count()
+            if size < n and (best is None or size < best[0]):
+                best = (size, reach[comp[x]])
+        if best is None:
+            return None
+        return frozenset(x for x in range(n) if best[1] >> x & 1)
+
+    @functools.cached_property
+    def _identity(self) -> Optional[int]:
+        t = self.table
+        ident = tuple(range(self.order))
+        for e in range(self.order):
+            if t[e] == ident and all(row[e] == x for x, row in enumerate(t)):
+                return e
+        return None
+
+    @functools.cached_property
+    def _is_group(self) -> bool:
+        """A monoid whose every row is a permutation: then each x has a y with
+        xy = 1, and in a finite monoid xy = 1 implies yx = 1."""
+        return self._identity is not None \
+            and all(len(set(row)) == self.order for row in self.table)
+
 
 def validate_cayley(order: int,
                     table: Sequence[Sequence[int]],
@@ -80,14 +172,15 @@ def validate_cayley(order: int,
         raise SemigroupError("table must be a list of rows")
     if len(table) != order or any(len(row) != order for row in table):
         raise SemigroupError("table dimensions do not match order")
+    ints = [int] * order
+    valid = frozenset(range(order))
     for row in table:
-        for e in row:
-            if type(e) is not int:
-                raise SemigroupError(f"table entry {e!r} is not an integer")
-            if not (0 <= e < order):
-                raise OutOfRange(e)
+        # whole-row checks; a row that fails is scanned entry by entry
+        # to name the first bad entry
+        if list(map(type, row)) != ints or not valid.issuperset(row):
+            _raise_first_bad_entry(row, order)
     rows = tuple(tuple(row) for row in table)
-    gens = greedy_generators(range(order), lambda x, g: rows[x][g], range(order))
+    gens = greedy_generators(rows)
     if not all(_light_test(rows, g) for g in gens):
         _raise_first_non_associative(rows)
     if names is None:
@@ -96,47 +189,51 @@ def validate_cayley(order: int,
         raise SemigroupError("names must be a list of strings")
     if len(names) != order:
         raise SemigroupError("names length does not match order")
-    return FiniteSemigroup(order, rows, tuple(names))
+    s = FiniteSemigroup(order, rows, tuple(names))
+    object.__setattr__(s, "_generators", gens)  # fills the cached property
+    return s
 
 
-def greedy_generators(elements: Iterable[Hashable],
-                      mul: Callable[[Hashable, Hashable], Hashable],
-                      universe: Container) -> Optional[list]:
-    """Generators taken greedily in the order of ``elements``, with their right orbit.
+def _raise_first_bad_entry(row: Sequence, order: int) -> None:
+    for e in row:
+        if type(e) is not int:
+            raise SemigroupError(f"table entry {e!r} is not an integer")
+        if not (0 <= e < order):
+            raise OutOfRange(e)
+
+
+def greedy_generators(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Generators of a table taken greedily in index order, with their right orbit.
 
     An element not yet in the right orbit of the generators so far becomes a
     generator: every element already reached is multiplied by it, then the
     new elements by every generator (Froidure & Pin's right Cayley graph
     enumeration).  The orbit holds the left-bracketed products of the
-    generators and ends up containing every element.  Returns None as soon
-    as a product falls outside ``universe``.
+    generators and ends up containing every element.  relations.axiom_report
+    runs the same orbit over pairs.
     """
-    orbit: list = []
-    seen = set()
-    gens: list = []
-    for g in elements:
-        if g in seen:
+    seen = bytearray(len(rows))
+    orbit: list[int] = []
+    gens: list[int] = []
+    for g in range(len(rows)):
+        if seen[g]:
             continue
         old = len(orbit)
         gens.append(g)
-        seen.add(g)
+        seen[g] = 1
         orbit.append(g)
-        for i in range(old):
-            p = mul(orbit[i], g)
-            if p not in seen:
-                if p not in universe:
-                    return None
-                seen.add(p)
+        for x in orbit[:old]:
+            p = rows[x][g]
+            if not seen[p]:
+                seen[p] = 1
                 orbit.append(p)
         i = old
         while i < len(orbit):
-            x = orbit[i]
+            row = rows[orbit[i]]
             for h in gens:
-                p = mul(x, h)
-                if p not in seen:
-                    if p not in universe:
-                        return None
-                    seen.add(p)
+                p = row[h]
+                if not seen[p]:
+                    seen[p] = 1
                     orbit.append(p)
             i += 1
     return gens
@@ -203,20 +300,6 @@ def _classes_from_keys(keys: list) -> tuple[int, ...]:
             ids[k] = len(ids)
         out.append(ids[k])
     return tuple(out)
-
-
-def _cayley_graphs(s: FiniteSemigroup) -> tuple[list[tuple[int, ...]], ...]:
-    """Right, left and two-sided Cayley graphs over a greedy generating set G:
-    x -> xg, x -> gx and both.
-
-    By associativity, what x reaches in them is xS^1, S^1x and S^1xS^1.
-    """
-    t = s.table
-    gens = greedy_generators(range(s.order), lambda x, g: t[x][g], range(s.order))
-    cols = list(zip(*t))
-    right = list(zip(*(cols[g] for g in gens)))
-    left = list(zip(*(t[g] for g in gens)))
-    return right, left, [a + b for a, b in zip(right, left)]
 
 
 def _scc(succ: Sequence[Sequence[int]]) -> list[int]:
@@ -288,71 +371,28 @@ class _UnionFind:
 def greens(s: FiniteSemigroup) -> GreensData:
     """R, L and J as strongly connected components of the right, left and two-sided
     Cayley graphs; H = R∧L; D = join of R and L (= J, checked)."""
-    n = s.order
-    r, l, j = (_classes_from_keys(_scc(graph)) for graph in _cayley_graphs(s))
-    h = _classes_from_keys([(r[x], l[x]) for x in range(n)])
-    # D = R∘L, the join of R and L: each element joins the first of its R- and L-class
-    first: dict = {}
-    joins = [(x, first.setdefault(key, x))
-             for x in range(n) for key in (("R", r[x]), ("L", l[x]))]
-    d = _classes_from_keys(list(map(_UnionFind(n, joins).find, range(n))))
-    if d != j:
-        raise SemigroupError("D != J on a finite semigroup; table is corrupt")
-    return GreensData(r, l, j, h, d)
+    return s._greens
 
 
 # ---------------------------------------------------------------------------
 # Structural predicates
 
 def is_simple(s: FiniteSemigroup) -> bool:
-    return len(set(greens(s).j_class)) == 1
+    """One J-class: the two-sided Cayley graph is strongly connected."""
+    return len(set(s._j_components)) == 1
 
 
 def proper_ideal(s: FiniteSemigroup) -> Optional[frozenset[int]]:
-    """Smallest proper principal two-sided ideal, ties broken by smallest generator.
-
-    S^1xS^1 is what x reaches in the two-sided Cayley graph: one bitset per
-    strongly connected component, filled in reverse topological order.
-    """
-    n = s.order
-    succ = _cayley_graphs(s)[2]
-    comp = _scc(succ)
-    reach = [0] * (max(comp) + 1)
-    for x in sorted(range(n), key=comp.__getitem__):
-        cx = comp[x]
-        bits = reach[cx] | 1 << x
-        for y in succ[x]:
-            if comp[y] != cx:
-                bits |= reach[comp[y]]
-        reach[cx] = bits
-    best = None
-    for x in range(n):
-        size = reach[comp[x]].bit_count()
-        if size < n and (best is None or size < best[0]):
-            best = (size, reach[comp[x]])
-    if best is None:
-        return None
-    return frozenset(x for x in range(n) if best[1] >> x & 1)
+    """Smallest proper principal two-sided ideal, ties broken by smallest generator."""
+    return s._proper_ideal
 
 
 def identity_index(s: FiniteSemigroup) -> Optional[int]:
-    for e in range(s.order):
-        if all(s.table[e][x] == x == s.table[x][e] for x in range(s.order)):
-            return e
-    return None
+    return s._identity
 
 
 def is_group(s: FiniteSemigroup) -> bool:
-    if identity_index(s) is None:
-        return False
-    n = s.order
-    full = set(range(n))
-    for i in range(n):
-        if set(s.table[i]) != full:
-            return False
-        if {s.table[j][i] for j in range(n)} != full:
-            return False
-    return True
+    return s._is_group
 
 
 def idempotents(s: FiniteSemigroup) -> frozenset[int]:
@@ -382,7 +422,16 @@ def inverses_of(s: FiniteSemigroup, x: int) -> list[int]:
 
 
 def is_inverse(s: FiniteSemigroup) -> bool:
-    return all(len(inverses_of(s, x)) == 1 for x in range(s.order))
+    """Every element has exactly one inverse.
+
+    Decided as: every R-class and every L-class holds exactly one idempotent
+    (Howie, Fundamentals of Semigroup Theory, Thm 5.1.1).  Class ids run
+    0..k-1, so the idempotents' ids, sorted, must be exactly 0..k-1.
+    """
+    gd = s._greens
+    es = idempotents(s)
+    return all(sorted(cls[e] for e in es) == list(range(max(cls) + 1))
+               for cls in (gd.r_class, gd.l_class))
 
 
 def natural_partial_order(s: FiniteSemigroup):

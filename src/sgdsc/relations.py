@@ -9,6 +9,7 @@ certified witnesses for the failing cases.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -42,6 +43,11 @@ class PairSet:
 
     def sorted_pairs(self) -> list[list[int]]:
         return [list(p) for p in sorted(self.pairs)]
+
+    @functools.cached_property
+    def _report(self) -> AxiomReport:
+        """axiom_report on the subject, computed once and kept with the pair set."""
+        return axiom_report(self.subject, self)
 
 
 @dataclass(frozen=True)
@@ -118,7 +124,7 @@ def congruence_generated(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]]) -
     queue = list(PairSet.from_pairs(s, pairs).pairs)
     t = s.table
     n = s.order
-    gens = finite.greedy_generators(range(n), lambda x, g: t[x][g], range(n))
+    gens = s._generators
     blocks = finite._UnionFind(n)
     while queue:
         x, y = queue.pop()
@@ -152,8 +158,7 @@ def axiom_report(s: FiniteSemigroup, rho: PairSet) -> AxiomReport:
             violations["contains_diagonal"] = (x, x)
             break
 
-    sub_ok = finite.greedy_generators(
-        srt, lambda p, q: (t[p[0]][q[0]], t[p[1]][q[1]]), pairs) is not None
+    sub_ok = _is_closed(s, srt)
     if not sub_ok:
         violations["is_subsemigroup"] = next(
             (x, y, z, w) for (x, y) in srt for (z, w) in srt
@@ -180,6 +185,49 @@ def axiom_report(s: FiniteSemigroup, rho: PairSet) -> AxiomReport:
             break
 
     return AxiomReport(diag_ok, sub_ok, sym_ok, trans_ok, violations)
+
+
+def _is_closed(s: FiniteSemigroup, srt: list[tuple[int, int]]) -> bool:
+    """Whether the pairs ``srt`` (sorted) are closed under the product of S x S.
+
+    The orbit of finite.greedy_generators over pairs coded x*n + y: a pair not
+    yet reached becomes a generator, and the right orbit of the generators
+    is grown until it is closed or a product falls outside the pairs.
+    """
+    n, t = s.order, s.table
+    state = bytearray(n * n)  # 0: not a pair, 1: a pair, 2: a pair reached
+    for (x, y) in srt:
+        state[x * n + y] = 1
+    orbit: list[tuple[int, int]] = []
+    gens: list[tuple[int, int]] = []
+    for g in srt:
+        z, w = g
+        if state[z * n + w] == 2:
+            continue
+        old = len(orbit)
+        gens.append(g)
+        state[z * n + w] = 2
+        orbit.append(g)
+        for (x, y) in orbit[:old]:
+            p = t[x][z] * n + t[y][w]
+            if state[p] != 2:
+                if not state[p]:
+                    return False
+                state[p] = 2
+                orbit.append(divmod(p, n))
+        i = old
+        while i < len(orbit):
+            x, y = orbit[i]
+            tx, ty = t[x], t[y]
+            for (z, w) in gens:
+                p = tx[z] * n + ty[w]
+                if state[p] != 2:
+                    if not state[p]:
+                        return False
+                    state[p] = 2
+                    orbit.append(divmod(p, n))
+            i += 1
+    return True
 
 
 def is_congruence(s: FiniteSemigroup, rho: PairSet) -> bool:
@@ -281,7 +329,7 @@ def witness_non_dsc(s: FiniteSemigroup) -> tuple[PairSet, tuple[int, int], str]:
             strategy = "rees-L"
         pairs |= h_pairs
     ps = PairSet.from_pairs(s, pairs)
-    rep = axiom_report(s, ps)
+    rep = ps._report
     if not (rep.contains_diagonal and rep.is_subsemigroup):
         raise finite.SemigroupError(f"witness construction broke: {rep.violations}")
     if rep.is_symmetric:
@@ -302,10 +350,11 @@ def _two_lowest_classes(class_of: tuple[int, ...]) -> tuple[int, int]:
 
 
 def witness_json(ps: PairSet, failing: tuple[int, int], strategy: str) -> dict:
-    rep = axiom_report(ps.subject, ps)
+    """The witness as JSON.  Its axioms are the report witness_non_dsc verified,
+    kept with the pair set (computed here for a pair set from elsewhere)."""
     return {
         "strategy": strategy,
         "pairs": ps.sorted_pairs(),
         "failing_pair": list(failing),
-        "axioms": rep.as_dict(),
+        "axioms": ps._report.as_dict(),
     }

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from sgdsc import byleen, cli, finite
+from sgdsc import byleen, cli, finite, relations
 
 
 @pytest.fixture()
@@ -119,6 +119,123 @@ def test_check_deterministic(capsys, table_file):
     assert out1 == out2
 
 
+# Cayley tables of order 16-17 in the shapes of the check-large benchmark,
+# built from their definitions and relabeled x -> 7x + 3 (mod n)
+
+def _cyclic(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def _product(a, b):
+    nb = len(b)
+    return [[a[x // nb][y // nb] * nb + b[x % nb][y % nb] for y in range(len(a) * nb)]
+            for x in range(len(a) * nb)]
+
+
+def _rees(i_size, k, j_size, sandwich):
+    """I x C_k x J with sandwich[j][i] in C_k."""
+    elems = [(i, g, j) for i in range(i_size) for g in range(k) for j in range(j_size)]
+    index = {e: x for x, e in enumerate(elems)}
+    return [[index[(i, (g + sandwich[j][i2] + h) % k, j2)] for (i2, h, j2) in elems]
+            for (i, g, j) in elems]
+
+
+def _relabeled(t):
+    n = len(t)
+    perm = [(7 * x + 3) % n for x in range(n)]
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[perm[i]][perm[j]] = perm[t[i][j]]
+    return out
+
+
+_LARGE_TABLES = {
+    "C4xC4": _product(_cyclic(4), _cyclic(4)),
+    "rees-C4-2x2": _rees(2, 4, 2, [[0, 1], [2, 3]]),
+    "RZ4xC4": _product([list(range(4))] * 4, _cyclic(4)),
+    "C16-zero": [row + [16] for row in _cyclic(16)] + [[16] * 17],
+    "chain2xC8": _product([[0, 0], [0, 1]], _cyclic(8)),
+}
+
+
+@pytest.fixture()
+def large_table(tmp_path, monkeypatch):
+    """Writes one of _LARGE_TABLES as <name>.json in the working directory."""
+    monkeypatch.chdir(tmp_path)
+
+    def write(name):
+        t = _relabeled(_LARGE_TABLES[name])
+        path = f"{name}.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"order": len(t), "table": t}, fh)
+        return path
+    return write
+
+
+# sha256 of the stdout of `sg check <name>.json --brute` and `sg witness <name>.json`
+_LARGE_STDOUT = {
+    ("C4xC4", "check"):
+        "2a362b7ff9ba6a4ae59f3bcf687e363343bda26b228432db0d1957af8f5fe431",
+    ("C4xC4", "witness"):
+        "b9e0c7adf38e2d449c297ac090d7b60f85e8b21bdfcbccba8e861f6fb153b52e",
+    ("rees-C4-2x2", "check"):
+        "2120b0fd41602e648fe7e90ef8fce74e7644fb708f5f2fd1e6f28a3df0a0fe05",
+    ("rees-C4-2x2", "witness"):
+        "8abb6632627c87dfe0de93a25733a4bc22f4d69e50d7a8e496aafa2a48fc6570",
+    ("RZ4xC4", "check"):
+        "941e90f1fa40e0986c9950c97dff3e87433bd4d9287d85f4fb1ec1f338db8760",
+    ("RZ4xC4", "witness"):
+        "80f95955ce7b2703ca2f59a50ca0ae0b802bca6ff8913e9243c48adc916368ec",
+    ("C16-zero", "check"):
+        "efd2a6943e091711482821d2e0b59b89ad2aef6488ba4c7c488dcfa25ea092a3",
+    ("C16-zero", "witness"):
+        "4aacbbfac6a6a83e19f6145d3d27fa9d2c1ec368e9b890180364c92b93ebca35",
+    ("chain2xC8", "check"):
+        "174bbf43f5a43609f214afdfe549e60ad3abadeeb90871ccf42d9514cdac5870",
+    ("chain2xC8", "witness"):
+        "232cf1e231cd9c53e55080f3710416085299db51e6f3068626d71bfce30c0853",
+}
+
+
+@pytest.mark.parametrize("name, command", list(_LARGE_STDOUT),
+                         ids=[f"{n}-{c}" for n, c in _LARGE_STDOUT])
+def test_check_and_witness_output_pinned(capsys, large_table, name, command):
+    path = large_table(name)
+    argv = ["check", path, "--brute"] if command == "check" else ["witness", path]
+    code, out, _ = run(capsys, argv)
+    assert code == (1 if (name, command) == ("C4xC4", "witness") else 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == _LARGE_STDOUT[name, command]
+
+
+@pytest.mark.parametrize("name, strategy", [("C16-zero", "ideal"), ("rees-C4-2x2", "rees-R")])
+def test_check_and_witness_analyse_the_table_once(capsys, monkeypatch, large_table,
+                                                  name, strategy):
+    calls = {}
+
+    def counting(owner, attr):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] = calls.get(attr, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counting(finite, "greedy_generators")
+    counting(finite, "_scc")
+    counting(relations, "axiom_report")
+    path = large_table(name)
+    for argv in (["check", path, "--brute"], ["witness", path]):
+        calls.clear()
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and strategy in out
+        # one generating set, kept from validation; R, L and J components once each;
+        # the witness's axioms reported once and reused for its JSON
+        assert calls["greedy_generators"] == 1
+        assert calls["_scc"] <= 3
+        assert calls["axiom_report"] == 1
+
+
 def test_witness_subcommand(capsys, table_file):
     path = table_file("ms.json", finite.min_semilattice())
     code, out, _ = run(capsys, ["witness", path])
@@ -136,16 +253,15 @@ def test_witness_on_group_fails(capsys, table_file):
 
 # two labeled C2 tables at order 2: the identity can sit at either index
 @pytest.mark.parametrize("n, tables, groups, strategies", [
-    (2, 8, 2, {"ideal": 4, "rees-L": 1, "rees-R": 1}),
-    (3, 113, 3, {"ideal": 108, "rees-L": 1, "rees-R": 1}),
-    (4, 3492, 16, {"ideal": 3444, "rees-L": 13, "rees-R": 19}),
+    (2, 8, 2, '{"ideal": 4, "rees-L": 1, "rees-R": 1}'),
+    (3, 113, 3, '{"ideal": 108, "rees-L": 1, "rees-R": 1}'),
+    (4, 3492, 16, '{"ideal": 3444, "rees-L": 13, "rees-R": 19}'),
 ], ids=["2", "3", "4"])
 def test_enumerate_oracle_small(capsys, n, tables, groups, strategies):
     code, out, _ = run(capsys, ["enumerate", str(n), "--oracle"])
     assert code == 0
-    doc = json.loads(out)
-    assert doc["oracle"] == "pass" and doc["tables"] == tables and doc["groups"] == groups
-    assert doc["witness_strategies"] == strategies
+    assert out == (f'{{"groups": {groups}, "oracle": "pass", "order": {n}, '
+                   f'"tables": {tables}, "witness_strategies": {strategies}}}\n')
 
 
 @pytest.mark.parametrize("n, labeled, classes", [(3, 113, 24), (4, 3492, 188)],

@@ -3,8 +3,9 @@
 Each oracle below is the direct definition, written out here with no library
 calls: the n^3 associativity scan, principal ideals {x} ∪ xS ∪ Sx ∪ SxS, the
 four congruence axioms as double loops over the sorted pairs, closures as
-fixpoints of those loops, and diagonal subsemigroups by scanning every subset
-of off-diagonal pairs.
+fixpoints of those loops, diagonal subsemigroups by scanning every subset
+of off-diagonal pairs, and groups and inverse semigroups by their defining
+identities and inverses.
 """
 
 import functools
@@ -116,6 +117,21 @@ def diagonal_subsemigroups(s):
             yield rho
 
 
+def group_oracle(s):
+    """A two-sided identity e, and for every x a y with xy = yx = e."""
+    t, n = s.table, s.order
+    ids = [e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n))]
+    return bool(ids) and all(any(t[x][y] == ids[0] == t[y][x] for y in range(n))
+                             for x in range(n))
+
+
+def inverse_oracle(s):
+    """Every x has exactly one y with xyx = x and yxy = y."""
+    t, n = s.table, s.order
+    return all(sum(1 for y in range(n) if t[t[x][y]][x] == x and t[t[y][x]][y] == y) == 1
+               for x in range(n))
+
+
 def is_equivalence(rho):
     return all((y, x) in rho for (x, y) in rho) and \
         all((x, w) in rho for (x, y) in rho for (z, w) in rho if y == z)
@@ -182,6 +198,26 @@ def order_4_tables():
 
 
 order_4 = st.integers(0, 3491).map(lambda i: order_4_tables()[i])
+
+
+@functools.cache
+def tables_up_to_4():
+    return [s for n in (1, 2, 3) for s in finite.enumerate_semigroups(n)] + order_4_tables()
+
+
+@st.composite
+def constructed(draw):
+    """Sandwiches S^a and quotients S/theta of tables of order <= 4, theta the
+    congruence generated by up to three random pairs; one or two steps."""
+    s = draw(st.sampled_from(tables_up_to_4()))
+    for _ in range(draw(st.integers(1, 2))):
+        element = st.integers(0, s.order - 1)
+        if draw(st.booleans()):
+            s = finite.sandwich(s, draw(element))
+        else:
+            pairs = draw(st.sets(st.tuples(element, element), max_size=3))
+            s, _ = finite.quotient(s, relations.congruence_generated(s, pairs).pairs)
+    return s
 
 
 @st.composite
@@ -286,6 +322,36 @@ def test_witnesses_verify_against_oracle(s):
     flags, _ = axiom_oracle(s, ps.pairs)
     assert flags["contains_diagonal"] and flags["is_subsemigroup"]
     assert (failing[1], failing[0]) not in ps.pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(constructed())
+def test_constructed_semigroups_match_oracles(s):
+    right, left, both = principal_ideals(s)
+    gd = finite.greens(s)
+    assert (gd.r_class, gd.l_class, gd.j_class) == (numbered(right), numbered(left),
+                                                    numbered(both))
+    assert gd.h_class == numbered(zip(right, left))
+    assert finite.proper_ideal(s) == smallest_proper_ideal(s)
+    assert finite.is_group(s) == group_oracle(s)
+    assert finite.is_inverse(s) == inverse_oracle(s)
+    if not group_oracle(s):
+        ps, failing, _ = relations.witness_non_dsc(s)
+        flags, _ = axiom_oracle(s, ps.pairs)
+        assert flags["contains_diagonal"] and flags["is_subsemigroup"]
+        assert not flags["is_symmetric"] and (failing[1], failing[0]) not in ps.pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(semigroups(max_order=12))
+def test_is_inverse_matches_definition(s):
+    assert finite.is_inverse(s) == inverse_oracle(s)
+
+
+def test_is_inverse_and_is_group_match_definitions_orders_1_to_4():
+    for s in tables_up_to_4():
+        assert finite.is_inverse(s) == inverse_oracle(s)
+        assert finite.is_group(s) == group_oracle(s)
 
 
 def check_subset_scan(s):

@@ -68,6 +68,22 @@ def test_validate_rejects_out_of_range():
         finite.validate_cayley(2, [[0, 2], [1, 0]], ["a", "b"])
 
 
+# the first bad entry in row-major order names the error, in one row or across rows
+@pytest.mark.parametrize("table, error, message", [
+    ([[0, 3, True], [0, 1, 2], [0, 1, 2]], finite.OutOfRange, "table entry 3 out of range"),
+    ([[0, True, 3], [0, 1, 2], [0, 1, 2]], finite.SemigroupError,
+     "table entry True is not an integer"),
+    ([[0, 1, 2], [0, -1, 2], [0, 1, True]], finite.OutOfRange, "table entry -1 out of range"),
+    ([[0, 1, 2], [False, 1, 2], [0, 1, 5]], finite.SemigroupError,
+     "table entry False is not an integer"),
+], ids=["range-then-bool", "bool-then-range", "range-row-before-bool-row",
+        "bool-row-before-range-row"])
+def test_validate_names_first_bad_entry(table, error, message):
+    with pytest.raises(finite.SemigroupError) as exc:
+        finite.validate_cayley(3, table)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_json_roundtrip_and_strict_keys():
     s = finite.left_zero(2)
     again = finite.from_json(finite.to_json(s))

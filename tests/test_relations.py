@@ -34,6 +34,15 @@ def test_diagonal_closure_always_closed():
             assert rep.contains_diagonal and rep.is_subsemigroup
 
 
+def test_axiom_report_multiplies_reached_pairs_by_later_generators():
+    # (0,2)·(1,1) = (0,1) leaves rho; only multiplying (0,2), reached before
+    # (1,1) became a generator, by that generator finds it
+    s = finite.validate_cayley(3, [[0, 0, 0], [0, 0, 0], [0, 1, 2]])
+    rho = relations.PairSet.from_pairs(s, [(0, 0), (0, 2), (1, 1), (2, 2)])
+    rep = relations.axiom_report(s, rho)
+    assert not rep.is_subsemigroup and rep.violations["is_subsemigroup"] == (0, 2, 1, 1)
+
+
 def test_axiom_report_diagonal_and_full():
     s = finite.cyclic_group(3)
     assert relations.axiom_report(
