@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 import time
@@ -105,27 +106,23 @@ def cmd_enumerate(args) -> int:
               file=sys.stderr)
         return 2
     if args.oracle:
+        # group, DSC and the witness strategy are invariant under relabeling,
+        # so each class counts n!/|Aut| times
         total = groups = 0
         strategies = {"ideal": 0, "rees-R": 0, "rees-L": 0}
-        for s in finite.enumerate_semigroups(args.n):
-            total += 1
+        for s, automorphisms in finite.semigroup_classes(args.n):
+            labeled = math.factorial(args.n) // automorphisms
+            total += labeled
             fast = relations.is_dsc_fast(s)
+            ok, _ = relations.brute_force_is_dsc(s)
+            if ok != fast:
+                _emit({"disagreement": {"table": [list(r) for r in s.table]}}, args.pretty)
+                return 1
             if fast:
-                groups += 1
-                ok, _ = relations.brute_force_is_dsc(s)
-                if not ok:
-                    _emit({"disagreement": {"table": [list(r) for r in s.table]}},
-                          args.pretty)
-                    return 1
+                groups += labeled
             else:
-                if args.n <= 3:
-                    ok, _ = relations.brute_force_is_dsc(s)
-                    if ok:
-                        _emit({"disagreement": {"table": [list(r) for r in s.table]}},
-                              args.pretty)
-                        return 1
                 _, _, strategy = relations.witness_non_dsc(s)
-                strategies[strategy] += 1
+                strategies[strategy] += labeled
         _emit({"order": args.n, "tables": total, "groups": groups,
                "oracle": "pass", "witness_strategies": strategies}, args.pretty)
         return 0

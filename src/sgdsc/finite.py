@@ -54,12 +54,6 @@ class FiniteSemigroup:
     table: tuple[tuple[int, ...], ...]
     names: tuple[str, ...]
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def elements(self) -> range:
-        return range(self.order)
-
     def __repr__(self):
         return f"FiniteSemigroup(order={self.order}, names={list(self.names)})"
 
@@ -533,13 +527,14 @@ def quotient(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]]):
 
 
 # ---------------------------------------------------------------------------
-# Enumeration and Burnside counts
+# Enumeration and isomorphism classes
 
-# Largest order enumerate_semigroups and count_semigroups accept.
+# Largest order enumerate_semigroups, semigroup_classes and count_semigroups accept.
 MAX_ENUMERATION_ORDER = 5
 
 
-def _associative_tables(n: int, sigma: Optional[Sequence[int]] = None) -> Iterator[list[int]]:
+def _associative_tables(n: int, symmetries: Sequence[Sequence[int]] = ()
+                        ) -> Iterator[tuple[list[int], int]]:
     """Associative tables of order n, flat and row-major, in lexicographic order.
 
     Depth-first search that branches on the first unset cell, values
@@ -550,9 +545,18 @@ def _associative_tables(n: int, sigma: Optional[Sequence[int]] = None) -> Iterat
     so propagation prunes without reordering the output.  An undo trail
     restores the cells set below a branch.
 
-    With a permutation ``sigma`` only the tables it fixes are produced:
-    cell (i, j) = v ties cell (sigma i, sigma j) to sigma v.  Each table is
-    the search's own list, valid until the generator resumes.
+    ``symmetries`` are permutations of 0..n-1 other than the identity.  A
+    table T is produced only if no relabeling sigma(T) by one of them is
+    lexicographically smaller (lex-leader pruning): at each node T and
+    sigma(T) are compared cell by cell in row-major order while both cells
+    are known, and the node is cut when sigma(T) is smaller.  The known
+    cells stay as they are in every completion, so each sigma resumes where
+    its comparison stopped at the parent node, and is dropped once sigma(T)
+    is larger.  Given all n! - 1 of them, the search produces exactly the
+    least table of each isomorphism class.  Each table comes with 1 + the
+    number of symmetries that fix it; given all of them, that is the order
+    of its automorphism group.  The table is the search's own list, valid until the generator
+    resumes.
     """
     size = n * n
     t = [-1] * size
@@ -562,9 +566,17 @@ def _associative_tables(n: int, sigma: Optional[Sequence[int]] = None) -> Iterat
     col_of = [k % n for k in range(size)]
     row_at = [k - k % n for k in range(size)]           # flat index of (row, 0)
     col_at = [k % n * n for k in range(size)]           # flat index of (col, 0)
-    tie = None if sigma is None else [sigma[k // n] * n + sigma[k % n] for k in range(size)]
     span = range(n)
     starts = range(0, size, n)
+    # (sigma, source cells, first cell to compare): sigma(T) at cell (a, b)
+    # is sigma of T at (sigma^-1 a, sigma^-1 b)
+    images = []
+    for sigma in symmetries:
+        inverse = [0] * n
+        for x, y in enumerate(sigma):
+            inverse[y] = x
+        src = [inverse[k // n] * n + inverse[k % n] for k in range(size)]
+        images.append((tuple(sigma), src, 0))
 
     def put(k: int, v: int) -> None:
         t[k] = v
@@ -592,12 +604,6 @@ def _associative_tables(n: int, sigma: Optional[Sequence[int]] = None) -> Iterat
             v = t[k]
             i, j = row_of[k], col_of[k]
             i_n, j_n, v_n = row_at[k], col_at[k], v * n
-            if tie is not None:
-                m, w = tie[k], sigma[v]
-                if t[m] != w:
-                    if t[m] >= 0:
-                        return False
-                    put(m, w)
             for z in span:                  # k = xy: (v)z against x(yz)
                 q = t[j_n + z]
                 if q >= 0 and t[v_n + z] != t[i_n + q] and not unify(v_n + z, i_n + q):
@@ -616,11 +622,33 @@ def _associative_tables(n: int, sigma: Optional[Sequence[int]] = None) -> Iterat
                     return False
         return True
 
-    # frames [cell, next value, trail length at entry]
-    stack = [[0, 0, 0]]
+    def undecided(live: list) -> Optional[tuple[list, int]]:
+        """The symmetries whose comparison a known cell still leaves open, each
+        with the cell it stopped at, and how many fix the table; None when
+        some image is smaller."""
+        still = []
+        fixing = 0
+        for sigma, src, c in live:
+            while c < size:
+                a, s = t[c], t[src[c]]
+                if a < 0 or s < 0:
+                    still.append((sigma, src, c))
+                    break
+                b = sigma[s]
+                if b != a:
+                    if b < a:
+                        return None
+                    break
+                c += 1
+            else:
+                fixing += 1
+        return still, fixing
+
+    # frames [cell, next value, trail length at entry, undecided symmetries]
+    stack = [[0, 0, 0, images]]
     while stack:
         frame = stack[-1]
-        k, v, mark = frame
+        k, v, mark, live = frame
         while len(trail) > mark:
             m = trail.pop()
             holding[t[m]].pop()
@@ -631,12 +659,18 @@ def _associative_tables(n: int, sigma: Optional[Sequence[int]] = None) -> Iterat
         frame[1] = v + 1
         if not assign(k, v):
             continue
+        fixing = 0
+        if live:
+            result = undecided(live)
+            if result is None:
+                continue
+            live, fixing = result
         while k < size and t[k] >= 0:
             k += 1
         if k == size:
-            yield t
+            yield t, 1 + fixing
         else:
-            stack.append([k, 0, len(trail)])
+            stack.append([k, 0, len(trail), live])
 
 
 def _check_enumeration_order(n: int) -> None:
@@ -644,6 +678,10 @@ def _check_enumeration_order(n: int) -> None:
         raise SemigroupError("order must be a positive integer")
     if n > MAX_ENUMERATION_ORDER:
         raise TooLarge(f"enumeration capped at order {MAX_ENUMERATION_ORDER}, got {n}")
+
+
+def _semigroup(n: int, t: list[int], names: tuple[str, ...]) -> FiniteSemigroup:
+    return FiniteSemigroup(n, tuple(tuple(t[r:r + n]) for r in range(0, n * n, n)), names)
 
 
 def enumerate_semigroups(n: int) -> Iterator[FiniteSemigroup]:
@@ -654,42 +692,34 @@ def enumerate_semigroups(n: int) -> Iterator[FiniteSemigroup]:
     """
     _check_enumeration_order(n)
     names = tuple(f"x{i}" for i in range(n))
-    for t in _associative_tables(n):
-        yield FiniteSemigroup(n, tuple(tuple(t[r:r + n]) for r in range(0, n * n, n)), names)
+    for t, _ in _associative_tables(n):
+        yield _semigroup(n, t, names)
 
 
-def _cycle_types(n: int, largest: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into parts of at most ``largest``, parts descending."""
-    if n == 0:
-        yield ()
-    for part in range(min(n, largest), 0, -1):
-        for rest in _cycle_types(n - part, part):
-            yield (part,) + rest
+def semigroup_classes(n: int) -> Iterator[tuple[FiniteSemigroup, int]]:
+    """One semigroup of each isomorphism class of order n (1 <= n <= 5) with
+    the order of its automorphism group.
+
+    Each is the lexicographically least table of its class, from the
+    lex-leader search of ``_associative_tables`` over every relabeling; its
+    class holds n!/|Aut| labeled tables.  Classes come in lexicographic order.
+    """
+    _check_enumeration_order(n)
+    names = tuple(f"x{i}" for i in range(n))
+    relabelings = itertools.permutations(range(n))
+    next(relabelings)  # the identity
+    for t, automorphisms in _associative_tables(n, list(relabelings)):
+        yield _semigroup(n, t, names), automorphisms
 
 
 def count_semigroups(n: int) -> tuple[int, int]:
-    """(labeled tables, isomorphism classes) of order n (1 <= n <= 5).
-
-    Burnside's lemma over the relabelings: the classes number
-    sum |class(sigma)| * Fix(sigma) / n! over one permutation sigma of each
-    cycle type, where Fix(sigma) counts the tables sigma fixes; the labeled
-    count is Fix(id).  No table object is built.
-    """
-    _check_enumeration_order(n)
-    labeled = weighted = 0
-    for cycles in _cycle_types(n, n):
-        sigma: list[int] = []
-        for c in cycles:
-            sigma += [len(sigma) + (r + 1) % c for r in range(c)]
-        conjugates = math.factorial(n)
-        for c in set(cycles):
-            conjugates //= c ** cycles.count(c) * math.factorial(cycles.count(c))
-        moved = cycles[0] > 1
-        fixed = sum(1 for _ in _associative_tables(n, sigma if moved else None))
-        if not moved:
-            labeled = fixed
-        weighted += conjugates * fixed
-    return labeled, weighted // math.factorial(n)
+    """(labeled tables, isomorphism classes) of order n (1 <= n <= 5): the
+    classes' n!/|Aut| summed, and their number."""
+    labeled = classes = 0
+    for _, automorphisms in semigroup_classes(n):
+        labeled += math.factorial(n) // automorphisms
+        classes += 1
+    return labeled, classes
 
 
 def relabel(s: FiniteSemigroup, perm: Sequence[int]) -> FiniteSemigroup:

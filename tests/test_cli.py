@@ -264,6 +264,25 @@ def test_enumerate_oracle_small(capsys, n, tables, groups, strategies):
                    f'"tables": {tables}, "witness_strategies": {strategies}}}\n')
 
 
+@pytest.mark.parametrize("wrong_on_groups", [False, True], ids=["non-group", "group"])
+def test_enumerate_oracle_reports_brute_disagreement(capsys, monkeypatch, wrong_on_groups):
+    # the subset scan disagrees with the group test on one side: every
+    # representative is brute-checked, so the oracle must stop there
+    brute = relations.brute_force_is_dsc
+
+    def disagreeing(s):
+        if finite.is_group(s) != wrong_on_groups:
+            return brute(s)
+        return (False, None) if wrong_on_groups else (True, None)
+
+    monkeypatch.setattr(relations, "brute_force_is_dsc", disagreeing)
+    code, out, _ = run(capsys, ["enumerate", "4", "--oracle"])
+    assert code == 1
+    table = json.loads(out)["disagreement"]["table"]
+    s = finite.validate_cayley(4, table)
+    assert finite.is_group(s) == wrong_on_groups
+
+
 @pytest.mark.parametrize("n, labeled, classes", [(3, 113, 24), (4, 3492, 188)],
                          ids=["3", "4"])
 def test_enumerate_count(capsys, n, labeled, classes):

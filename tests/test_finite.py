@@ -272,27 +272,17 @@ def test_count_semigroups_matches_canonical_forms(n):
     assert finite.count_semigroups(n) == (len(tables), len(set(map(canonical_form, tables))))
 
 
-def _cycle_type(perm):
-    seen, lengths = set(), []
-    for start in range(len(perm)):
-        length, x = 0, start
-        while x not in seen:
-            seen.add(x)
-            x, length = perm[x], length + 1
-        if length:
-            lengths.append(length)
-    return tuple(sorted(lengths))
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_fixed_tables_match_relabel_fixed_points(n):
-    # one permutation of each cycle type, the last in lexicographic order
-    sigmas = {_cycle_type(p): p for p in itertools.permutations(range(n))}
-    tables = list(finite.enumerate_semigroups(n))
-    for sigma in sigmas.values():
-        fixed = [tuple(tuple(t[r:r + n]) for r in range(0, n * n, n))
-                 for t in finite._associative_tables(n, sigma)]
-        assert fixed == [s.table for s in tables if finite.relabel(s, sigma).table == s.table]
+def test_class_representatives_match_canonical_forms(n):
+    classes = list(finite.semigroup_classes(n))
+    perms = list(itertools.permutations(range(n)))
+    # one representative per class of the labeled tables
+    assert sorted(canonical_form(s) for s, _ in classes) == \
+        sorted(set(map(canonical_form, finite.enumerate_semigroups(n))))
+    for s, automorphisms in classes:
+        images = [finite.relabel(s, p).table for p in perms]
+        assert s.table == min(images)
+        assert automorphisms == images.count(s.table)
 
 
 def test_structural_implications_order_3():
