@@ -6,6 +6,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -264,9 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="validate a Cayley table and run DSC checks")
     p.add_argument("path")
     p.add_argument("--brute", action="store_true")
-    p.add_argument("--witness", action="store_true",
-                   help="accepted for compatibility; the DSC witness is always "
-                        "emitted for a non-group")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--pretty", action="store_true")
     p.add_argument("--timing", action="store_true")
@@ -300,8 +298,18 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    # looked up at call time, so a handler rebound on this module is the one run
-    return globals()[f"cmd_{args.command}"](args)
+    try:
+        # looked up at call time, so a handler rebound on this module is the one run
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # output still buffered meets a closed pipe here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`sg enumerate 4 | head -1`); point stdout at
+        # devnull so the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -197,40 +197,62 @@ def _raise_first_bad_entry(row: Sequence, order: int) -> None:
 
 
 def greedy_generators(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Generators of a table taken greedily in index order, with their right orbit.
+    """Generators of a table taken greedily in index order: x is a generator
+    when it is not in the subsemigroup generated by the generators before it.
 
-    An element not yet in the right orbit of the generators so far becomes a
-    generator: every element already reached is multiplied by it, then the
-    new elements by every generator (Froidure & Pin's right Cayley graph
-    enumeration).  The orbit holds the left-bracketed products of the
-    generators and ends up containing every element.  relations.axiom_report
-    runs the same orbit over pairs.
+    Since the diagonal {(x, x)} is a copy of S, this is the orbit of
+    ``_pair_orbit`` over the diagonal pairs, coded x*(n + 1); relations runs
+    the same orbit for diagonal closures and the closure test.
     """
-    seen = bytearray(len(rows))
-    orbit: list[int] = []
-    gens: list[int] = []
-    for g in range(len(rows)):
-        if seen[g]:
+    n = len(rows)
+    codes = _pair_orbit(rows, range(0, n * n, n + 1), bytearray(b"\1") * (n * n))
+    return [g // (n + 1) for g in codes]
+
+
+def _pair_orbit(rows: Sequence[Sequence[int]], codes: Iterable[int],
+                state: bytearray) -> Optional[list[int]]:
+    """Greedy generators of the pairs ``codes`` in S x S, and their right orbit.
+
+    Pairs (x, y) are coded p = x*n + y, and ``state[p]`` is updated in place:
+    0 forbidden, 1 allowed, 2 reached.  A code not yet reached becomes a
+    generator: every pair already reached is multiplied by it, then the new
+    pairs by every generator (Froidure & Pin's right Cayley graph
+    enumeration).  The orbit holds the left-bracketed products of the
+    generators, so at the end the reached pairs are the subsemigroup they
+    generate.  Returns the generator codes, or None as soon as a product
+    is forbidden.
+    """
+    n = len(rows)
+    orbit: list[tuple[int, int]] = []
+    gens: list[tuple[int, int]] = []
+    for g in codes:
+        if state[g] == 2:
             continue
+        z, w = divmod(g, n)
         old = len(orbit)
-        gens.append(g)
-        seen[g] = 1
-        orbit.append(g)
-        for x in orbit[:old]:
-            p = rows[x][g]
-            if not seen[p]:
-                seen[p] = 1
-                orbit.append(p)
+        gens.append((z, w))
+        state[g] = 2
+        orbit.append((z, w))
+        for (x, y) in orbit[:old]:
+            p = rows[x][z] * n + rows[y][w]
+            if state[p] != 2:
+                if not state[p]:
+                    return None
+                state[p] = 2
+                orbit.append(divmod(p, n))
         i = old
         while i < len(orbit):
-            row = rows[orbit[i]]
-            for h in gens:
-                p = row[h]
-                if not seen[p]:
-                    seen[p] = 1
-                    orbit.append(p)
+            x, y = orbit[i]
+            tx, ty = rows[x], rows[y]
+            for (z, w) in gens:
+                p = tx[z] * n + ty[w]
+                if state[p] != 2:
+                    if not state[p]:
+                        return None
+                    state[p] = 2
+                    orbit.append(divmod(p, n))
             i += 1
-    return gens
+    return [z * n + w for (z, w) in gens]
 
 
 def _light_test(rows: Sequence[tuple[int, ...]], g: int) -> bool:
@@ -502,12 +524,9 @@ def quotient(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]]):
     Returns (quotient semigroup, class map).  Raises NotACongruence if the
     pair set is not an equivalence compatible with multiplication.
     """
-    rel = {(x, y) for (x, y) in pairs}
-    rel |= {(x, x) for x in range(s.order)}
-    if any(not (0 <= x < s.order and 0 <= y < s.order) for (x, y) in rel):
-        raise OutOfRange(next(p for p in rel if not all(0 <= c < s.order for c in p)))
-    from .relations import PairSet, axiom_report
-    rep = axiom_report(s, PairSet(s, frozenset(rel)))
+    from .relations import PairSet, axiom_report, diagonal
+    rel = PairSet.from_pairs(s, pairs).pairs | diagonal(s)
+    rep = axiom_report(s, PairSet(s, rel))
     if not rep.is_symmetric:
         raise NotACongruence("relation is not symmetric")
     if not rep.is_transitive:

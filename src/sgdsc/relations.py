@@ -28,12 +28,19 @@ class PairSet:
 
     @staticmethod
     def from_pairs(subject: FiniteSemigroup, pairs: Iterable[tuple[int, int]]) -> "PairSet":
-        ps = frozenset((int(x), int(y)) for (x, y) in pairs)
+        """Pairs of plain ints (bools and floats are rejected) inside S, the
+        first bad one named: OutOfRange if out of range, else SemigroupError."""
         n = subject.order
-        for (x, y) in ps:
+        ps = set()
+        for pair in pairs:
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and type(pair[0]) is int and type(pair[1]) is int):
+                raise finite.SemigroupError(f"pair {pair!r} is not two integers")
+            x, y = pair
             if not (0 <= x < n and 0 <= y < n):
                 raise finite.OutOfRange((x, y))
-        return PairSet(subject, ps)
+            ps.add((x, y))
+        return PairSet(subject, frozenset(ps))
 
     def __contains__(self, pair) -> bool:
         return pair in self.pairs
@@ -84,26 +91,12 @@ def _pair_set(s: FiniteSemigroup, mask: int) -> PairSet:
 
 def _close(s: FiniteSemigroup, mask: int) -> int:
     """Least subsemigroup of S x S containing the pairs of ``mask``, a bitmask
-    over pair indices p = x*n + y.
-
-    A worklist: each member, old or new, is multiplied on both sides by every
-    member reached before it and by itself, so every ordered product of two
-    members is formed once the later of the two is taken.
-    """
+    over pair codes p = x*n + y: what finite._pair_orbit reaches from them
+    with every pair allowed."""
     n = s.order
-    t = s.table
-    # membership by byte: a shift of a large mask costs n^2/64 words
-    inside = bytearray(mask >> p & 1 for p in range(n * n))
-    reached = [divmod(p, n) for p in range(n * n) if inside[p]]
-    for i, (x, y) in enumerate(reached):  # grows while it is walked
-        tx, ty = t[x], t[y]
-        for (z, w) in reached[:i + 1]:
-            for p in (tx[z] * n + ty[w], t[z][x] * n + t[w][y]):
-                if not inside[p]:
-                    inside[p] = 1
-                    mask |= 1 << p
-                    reached.append(divmod(p, n))
-    return mask
+    state = bytearray(b"\1") * (n * n)
+    finite._pair_orbit(s.table, [p for p in range(n * n) if mask >> p & 1], state)
+    return sum(1 << p for p, v in enumerate(state) if v == 2)
 
 
 def diagonal_closure(s: FiniteSemigroup, generators: Iterable[tuple[int, int]]) -> PairSet:
@@ -140,25 +133,29 @@ def congruence_generated(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]]) -
 def axiom_report(s: FiniteSemigroup, rho: PairSet) -> AxiomReport:
     """Check the four congruence axioms independently, recording first violations.
 
-    Closure is decided as rho·G ⊆ rho for a greedy generating set G ⊆ rho
-    taken in sorted order: if the right orbit of G stays inside rho it
-    reaches all of rho, so rho = <G> is closed.  Transitivity compares
+    Closure is finite._pair_orbit over sorted rho with only rho allowed: if
+    the right orbit of its greedy generators G stays inside rho it reaches
+    all of rho, so rho = <G> is closed.  Transitivity compares
     successor bitsets.  Only a product leaving rho runs the lexicographic
     double loop that names the first failing (x, y, z, w).
     """
-    t = s.table
+    n, t = s.order, s.table
     pairs = rho.pairs
     srt = sorted(pairs)
     violations: dict = {}
 
     diag_ok = True
-    for x in range(s.order):
+    for x in range(n):
         if (x, x) not in pairs:
             diag_ok = False
             violations["contains_diagonal"] = (x, x)
             break
 
-    sub_ok = _is_closed(s, srt)
+    codes = [x * n + y for (x, y) in srt]
+    state = bytearray(n * n)
+    for p in codes:
+        state[p] = 1
+    sub_ok = finite._pair_orbit(t, codes, state) is not None
     if not sub_ok:
         violations["is_subsemigroup"] = next(
             (x, y, z, w) for (x, y) in srt for (z, w) in srt
@@ -185,49 +182,6 @@ def axiom_report(s: FiniteSemigroup, rho: PairSet) -> AxiomReport:
             break
 
     return AxiomReport(diag_ok, sub_ok, sym_ok, trans_ok, violations)
-
-
-def _is_closed(s: FiniteSemigroup, srt: list[tuple[int, int]]) -> bool:
-    """Whether the pairs ``srt`` (sorted) are closed under the product of S x S.
-
-    The orbit of finite.greedy_generators over pairs coded x*n + y: a pair not
-    yet reached becomes a generator, and the right orbit of the generators
-    is grown until it is closed or a product falls outside the pairs.
-    """
-    n, t = s.order, s.table
-    state = bytearray(n * n)  # 0: not a pair, 1: a pair, 2: a pair reached
-    for (x, y) in srt:
-        state[x * n + y] = 1
-    orbit: list[tuple[int, int]] = []
-    gens: list[tuple[int, int]] = []
-    for g in srt:
-        z, w = g
-        if state[z * n + w] == 2:
-            continue
-        old = len(orbit)
-        gens.append(g)
-        state[z * n + w] = 2
-        orbit.append(g)
-        for (x, y) in orbit[:old]:
-            p = t[x][z] * n + t[y][w]
-            if state[p] != 2:
-                if not state[p]:
-                    return False
-                state[p] = 2
-                orbit.append(divmod(p, n))
-        i = old
-        while i < len(orbit):
-            x, y = orbit[i]
-            tx, ty = t[x], t[y]
-            for (z, w) in gens:
-                p = tx[z] * n + ty[w]
-                if state[p] != 2:
-                    if not state[p]:
-                        return False
-                    state[p] = 2
-                    orbit.append(divmod(p, n))
-            i += 1
-    return True
 
 
 def is_congruence(s: FiniteSemigroup, rho: PairSet) -> bool:
@@ -328,7 +282,7 @@ def witness_non_dsc(s: FiniteSemigroup) -> tuple[PairSet, tuple[int, int], str]:
                      and gd.r_class[x] == gd.r_class[y]}
             strategy = "rees-L"
         pairs |= h_pairs
-    ps = PairSet.from_pairs(s, pairs)
+    ps = PairSet(s, frozenset(pairs))
     rep = ps._report
     if not (rep.contains_diagonal and rep.is_subsemigroup):
         raise finite.SemigroupError(f"witness construction broke: {rep.violations}")

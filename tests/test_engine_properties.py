@@ -4,8 +4,9 @@ Each oracle below is the direct definition, written out here with no library
 calls: the n^3 associativity scan, principal ideals {x} ∪ xS ∪ Sx ∪ SxS, the
 four congruence axioms as double loops over the sorted pairs, closures as
 fixpoints of those loops, diagonal subsemigroups by scanning every subset
-of off-diagonal pairs, and groups and inverse semigroups by their defining
-identities and inverses.
+of off-diagonal pairs, groups and inverse semigroups by their defining
+identities and inverses, and greedy generating sets by growing each
+subsemigroup to a fixpoint.
 """
 
 import functools
@@ -130,6 +131,24 @@ def inverse_oracle(s):
     t, n = s.table, s.order
     return all(sum(1 for y in range(n) if t[t[x][y]][x] == x and t[t[y][x]][y] == y) == 1
                for x in range(n))
+
+
+def generators_oracle(s):
+    """x is a generator when it is not in the subsemigroup generated by the
+    generators before it, that subsemigroup grown as a fixpoint of products."""
+    t = s.table
+    gens, sub = [], set()
+    for x in range(s.order):
+        if x in sub:
+            continue
+        gens.append(x)
+        sub.add(x)
+        while True:
+            new = {t[a][b] for a in sub for b in sub} - sub
+            if not new:
+                break
+            sub |= new
+    return gens
 
 
 def is_equivalence(rho):
@@ -283,6 +302,20 @@ def test_light_test_matches_triple_scan_on_random_tables(rows):
 @given(corrupted())
 def test_light_test_matches_triple_scan_on_corrupted_semigroups(rows):
     check_validation(rows)
+
+
+# the edge order of the Cayley graphs, and through it the Green's class ids,
+# follows this exact list
+@settings(max_examples=100, deadline=None)
+@given(semigroups(max_order=8))
+def test_greedy_generators_match_oracle(s):
+    assert finite.greedy_generators(s.table) == generators_oracle(s)
+
+
+def test_greedy_generators_match_oracle_orders_1_to_3():
+    for n in (1, 2, 3):
+        for s in finite.enumerate_semigroups(n):
+            assert finite.greedy_generators(s.table) == generators_oracle(s)
 
 
 @settings(max_examples=100, deadline=None)

@@ -194,3 +194,24 @@ def test_count_diagonal_subsemigroups_goldens():
 def test_pair_set_range_check():
     with pytest.raises(finite.OutOfRange):
         relations.PairSet.from_pairs(finite.cyclic_group(2), {(0, 2)})
+
+
+@pytest.mark.parametrize("entry", ["from_pairs", "quotient"])
+@pytest.mark.parametrize("pair, error", [
+    ((0.7, 1), finite.SemigroupError),
+    ((0.5, 0.5), finite.SemigroupError),
+    ((True, 1), finite.SemigroupError),
+    (("1", 2), finite.SemigroupError),
+    ((0, 1, 2), finite.SemigroupError),
+    (0, finite.SemigroupError),
+    ((3, 0), finite.OutOfRange),
+    ((0, -1), finite.OutOfRange),
+], ids=["float", "floats", "bool", "str", "triple", "not-a-pair", "high", "negative"])
+def test_pairs_must_be_two_ints_in_range(entry, pair, error):
+    s = finite.cyclic_group(3)
+    with pytest.raises(finite.SemigroupError) as exc:
+        if entry == "from_pairs":
+            relations.PairSet.from_pairs(s, [pair])
+        else:
+            finite.quotient(s, [pair])
+    assert exc.type is error
