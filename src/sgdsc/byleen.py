@@ -86,10 +86,10 @@ Letter = Union[ALetter, BLetter, SElem]
 # bits at least also means every integer below 2^8 encodes nothing.
 #
 # δ(x) is bitlen(x+1) + O(log bitlen(x)) bits, so a chain step whose
-# colours are both the previous fresh letter (claim1, claim3, claim4,
-# _back_chain) adds a bounded number of bits to the index, and index length
-# grows linearly with chain depth.  Writing that colour twice at full
-# length, without the flag, would double the index length at every step.
+# colours are both the previous fresh letter (_chain) adds a bounded number
+# of bits to the index, and index length grows linearly with chain depth.
+# Writing that colour twice at full length, without the flag, would double
+# the index length at every step.
 
 def _gamma(x: int) -> str:
     b = bin(x + 1)[2:]
@@ -160,33 +160,19 @@ class TwoTransitiveMatrix:
         self.identity = e
         self._memo: dict[tuple[int, int], Letter] = {}
 
-    # letter <-> index bookkeeping
-    def a_index(self, a: ALetter) -> int:
-        return a.n * self.base.order + a.s
-
-    def b_index(self, b: BLetter) -> int:
-        return b.n * self.base.order + b.s
-
-    def a_letter(self, idx: int) -> ALetter:
-        n, s = divmod(idx, self.base.order)
-        return ALetter(n, s)
-
-    def b_letter(self, idx: int) -> BLetter:
-        n, s = divmod(idx, self.base.order)
-        return BLetter(n, s)
-
+    # letter <-> index bookkeeping: S first, then A and B letters interleaved
     def w_index(self, w: Letter) -> int:
+        k = self.base.order
         if isinstance(w, SElem):
             return w.s
-        if isinstance(w, ALetter):
-            return self.base.order + 2 * self.a_index(w)
-        return self.base.order + 2 * self.b_index(w) + 1
+        return k + 2 * (w.n * k + w.s) + isinstance(w, BLetter)
 
     def w_letter(self, idx: int) -> Letter:
-        if idx < self.base.order:
+        k = self.base.order
+        if idx < k:
             return SElem(idx)
-        q, r = divmod(idx - self.base.order, 2)
-        return self.a_letter(q) if r == 0 else self.b_letter(q)
+        q, r = divmod(idx - k, 2)
+        return (BLetter if r else ALetter)(*divmod(q, k))
 
     def entry(self, a: ALetter, b: BLetter) -> Letter:
         # p[a(n,x), b(k,y)] depends on (n, k, x*y) only, so that
@@ -362,23 +348,20 @@ def nf_mul(x: NormalForm, y: NormalForm) -> NormalForm:
     return reduce(x.mat, x.letters() + y.letters())
 
 
-_CHUNK = 10 ** 1000
+_CHUNK = 10 ** 600
 
 
 def _decimal(x: int) -> str:
-    """str(x) for x >= 0, also past Python's int-to-str digit limit.
+    """str(x) for x >= 0, under any int-to-str digit limit Python accepts.
 
-    Below 8000 bits (at most 2409 digits, under the default limit of 4300)
-    this is str(x).  Larger indices are cut into 1000-digit chunks by
-    repeated divmod, each written zero-padded except the leading one.
+    The least limit Python accepts is 640 digits, so x is cut into 600-digit
+    chunks by repeated divmod, each written zero-padded except the leading one.
     """
-    if x.bit_length() < 8000:
-        return str(x)
     chunks = []
-    while x:
+    while x >= _CHUNK:
         x, r = divmod(x, _CHUNK)
         chunks.append(r)
-    return str(chunks.pop()) + "".join(f"{r:01000d}" for r in reversed(chunks))
+    return str(x) + "".join(f"{r:0600d}" for r in reversed(chunks))
 
 
 def render(nf: NormalForm) -> str:
@@ -392,26 +375,40 @@ def render(nf: NormalForm) -> str:
 # ---------------------------------------------------------------------------
 # Claims (constructive certificates)
 
-def _other_a(m: TwoTransitiveMatrix, a: ALetter) -> ALetter:
-    cand = ALetter(0, m.identity)
-    return cand if cand != a else ALetter(1, m.identity)
+def _other(m: TwoTransitiveMatrix, w: Letter) -> Letter:
+    """A letter of w's kind (A or B), other than w, at index 0 or 1."""
+    cand = type(w)(0, m.identity)
+    return cand if cand != w else type(w)(1, m.identity)
 
 
-def _other_b(m: TwoTransitiveMatrix, b: BLetter) -> BLetter:
-    cand = BLetter(0, m.identity)
-    return cand if cand != b else BLetter(1, m.identity)
+def _chain(m: TwoTransitiveMatrix, word: Sequence[Letter], start: Letter) -> Letter:
+    """A fresh letter c ≠ start with word·c = start for a nonempty A-word,
+    or with c·word = start for a nonempty B-word.
+
+    One find_column (find_row) link per letter, read right to left for a
+    B-word, each link's colours being the previous link's letter; the last
+    link is retried with a larger skip until its letter differs from start.
+    """
+    if isinstance(word[0], ALetter):
+        link, letters = m.find_column, list(word)
+    else:
+        link, letters = m.find_row, list(reversed(word))
+    c = start
+    for w in letters[:-1]:
+        c = link(w, _other(m, w), c, c)
+    last, prev, skip = letters[-1], c, 0
+    while True:
+        c = link(last, _other(m, last), prev, prev, skip=skip)
+        if c != start:
+            return c
+        skip += 1
 
 
 def claim1(m: TwoTransitiveMatrix, u: Sequence[ALetter]) -> NormalForm:
     """A diagonal factor λ with u·λ = 1; a single column letter for nonempty u."""
     if not u:
         return identity_nf(m)
-    one = SElem(m.identity)
-    val: Letter = one
-    b = None
-    for a in u:
-        b = m.find_column(a, _other_a(m, a), val, val)
-        val = b
+    b = _chain(m, u, SElem(m.identity))
     lam = b_word_nf(m, (b,))
     _certify(reduce(m, list(u) + [b]).is_identity(), "claim1")
     return lam
@@ -458,16 +455,7 @@ def claim3(m: TwoTransitiveMatrix, u: Sequence[ALetter], x: Sequence[ALetter],
     """Diagonal factors with μ·(u,x)·λ = (w1,w2), for distinct A-words u, x."""
     lam2, side, p = claim2(m, u, x)
     b0 = BLetter(0, m.identity)
-    val: Letter = b0
-    bn = b0
-    for i, a in enumerate(p):
-        skip = 0
-        while True:
-            bn = m.find_column(a, _other_a(m, a), val, val, skip=skip)
-            if i < len(p) - 1 or bn != b0:
-                break
-            skip += 1
-        val = bn
+    bn = _chain(m, p, b0)
     if side == "left":
         a_star = m.find_row(bn, b0, w1, w2)
     else:
@@ -483,12 +471,7 @@ def claim4(m: TwoTransitiveMatrix, v: Sequence[BLetter]) -> NormalForm:
     """A diagonal factor μ with μ·v = 1; a single row letter for nonempty v."""
     if not v:
         return identity_nf(m)
-    one = SElem(m.identity)
-    val: Letter = one
-    a = None
-    for b in reversed(v):
-        a = m.find_row(b, _other_b(m, b), val, val)
-        val = a
+    a = _chain(m, v, SElem(m.identity))
     mu = a_word_nf(m, (a,))
     _certify(reduce(m, [a] + list(v)).is_identity(), "claim4")
     return mu
@@ -548,18 +531,9 @@ def claim6(m: TwoTransitiveMatrix, v: Sequence[BLetter], y: Sequence[BLetter],
 
 def _back_chain(m: TwoTransitiveMatrix, q: Sequence[BLetter], a0: ALetter) -> ALetter:
     """An A-letter a* ≠ a0 with a*·q = a0, chained through fresh rows."""
-    nxt: Letter = a0
-    letters = list(q)
-    for i, b in enumerate(reversed(letters)):
-        skip = 0
-        while True:
-            cur = m.find_row(b, _other_b(m, b), nxt, nxt, skip=skip)
-            if i < len(letters) - 1 or cur != a0:
-                break
-            skip += 1
-        nxt = cur
-    _certify(reduce(m, [nxt] + letters) == letter_nf(m, a0), "back chain")
-    return nxt
+    a_star = _chain(m, q, a0)
+    _certify(reduce(m, [a_star] + list(q)) == letter_nf(m, a0), "back chain")
+    return a_star
 
 
 # ---------------------------------------------------------------------------
@@ -597,51 +571,35 @@ def span_witness(m: TwoTransitiveMatrix, g: NormalForm, h: NormalForm,
         raise EqualElements("span_witness needs distinct elements")
     v, s, u = g.v, g.s, g.u
     y, t, x = h.v, h.s, h.u
-    e = m.identity
-    a0 = ALetter(0, e)
-    if u == x and v == y:
+    if u == x and v != y:
         lam1 = claim1(m, u)
-        mu4 = claim4(m, v)
-        a1, a2 = a_act(m, a0, s), a_act(m, a0, t)
-        mu3, lam3 = claim3(m, (a1,), (a2,), w1, w2)
-        factors = (_diag(mu3), _diag(a_word_nf(m, (a0,))), _diag(mu4),
-                   (GEN,), _diag(lam1), _diag(lam3))
-        case = "equal-words"
-    elif u != x and v == y:
-        mu4 = claim4(m, v)
-        lam2, side, p = claim2(m, u, x)
-        a1, a2 = a_act(m, a0, s), a_act(m, a0, t)
-        if side == "right":
-            word1, word2 = (a1,) + p, (a2,)
-        else:
-            word1, word2 = (a1,), (a2,) + p
-        mu3, lam3 = claim3(m, word1, word2, w1, w2)
-        factors = (_diag(mu3), _diag(a_word_nf(m, (a0,))), _diag(mu4),
-                   (GEN,), _diag(lam2), _diag(lam3))
-        case = "a-words-differ"
-    elif u == x and v != y:
-        lam1 = claim1(m, u)
-        b0 = BLetter(0, e)
+        b0 = BLetter(0, m.identity)
         b1, b2 = b_act(m, s, b0), b_act(m, t, b0)
         mu6, lam6 = claim6(m, v + (b1,), y + (b2,), w1, w2)
         factors = (_diag(mu6), (GEN,), _diag(lam1),
                    _diag(b_word_nf(m, (b0,))), _diag(lam6))
         case = "b-words-differ"
     else:
-        lam2, side_a, p = claim2(m, u, x)
-        mu5, side_b, q = claim5(m, v, y)
-        p1, p2 = ((), p) if side_a == "left" else (p, ())
-        a1 = _back_chain(m, q, a0)
-        if side_b == "left":
-            word1 = (a_act(m, a1, s),) + p1
-            word2 = (a_act(m, a0, t),) + p2
+        # A side: λ with (u,x)·λ = (p1,p2), one of p1, p2 empty
+        if u == x:
+            lam, p1, p2 = claim1(m, u), (), ()
         else:
-            word1 = (a_act(m, a0, s),) + p1
-            word2 = (a_act(m, a1, t),) + p2
-        mu3, lam3 = claim3(m, word1, word2, w1, w2)
-        factors = (_diag(mu3), _diag(a_word_nf(m, (a1,))), _diag(mu5),
-                   (GEN,), _diag(lam2), _diag(lam3))
-        case = "both-differ"
+            lam, side, p = claim2(m, u, x)
+            p1, p2 = ((), p) if side == "left" else (p, ())
+        # B side: μ with a1·μ·(v,y) = (a1,a0) or (a0,a1), where a1 = a0 if v == y
+        a0 = ALetter(0, m.identity)
+        if v == y:
+            mu, side, a1 = claim4(m, v), "left", a0
+        else:
+            mu, side, q = claim5(m, v, y)
+            a1 = _back_chain(m, q, a0)
+        a_s, a_t = (a1, a0) if side == "left" else (a0, a1)
+        mu3, lam3 = claim3(m, (a_act(m, a_s, s),) + p1, (a_act(m, a_t, t),) + p2,
+                           w1, w2)
+        factors = (_diag(mu3), _diag(a_word_nf(m, (a1,))), _diag(mu),
+                   (GEN,), _diag(lam), _diag(lam3))
+        case = {(True, True): "equal-words", (False, True): "a-words-differ",
+                (False, False): "both-differ"}[u == x, v == y]
     expr = PairExpr(factors, (g, h), case)
     got = expr.evaluate()
     _certify(got == (letter_nf(m, w1), letter_nf(m, w2)), f"span_witness ({case})")
@@ -678,8 +636,8 @@ def inverse_of(m: TwoTransitiveMatrix, t: NormalForm,
             or tab[tab[s_inv][t.s]][s_inv] != s_inv:
         raise NotRegularBase(f"no sandwich inverse for base element {t.s}")
     one = SElem(m.identity)
-    x = tuple(m.find_row(b, _other_b(m, b), one, one) for b in reversed(t.v))
-    y = tuple(m.find_column(a, _other_a(m, a), one, one) for a in reversed(t.u))
+    x = tuple(m.find_row(b, _other(m, b), one, one) for b in reversed(t.v))
+    y = tuple(m.find_column(a, _other(m, a), one, one) for a in reversed(t.u))
     inv = NormalForm(y, s_inv, x, m)
     _certify(nf_mul(nf_mul(t, inv), t) == t and nf_mul(nf_mul(inv, t), inv) == inv, "inverse_of")
     return inv

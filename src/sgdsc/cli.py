@@ -161,6 +161,7 @@ def cmd_witness(args) -> int:
 # sg byleen
 
 _TOKEN = re.compile(r"^(?:([ab])\((\d+),s(\d+)\)|s(\d+)|1)$")
+_BYLEEN_WORDS = {"eval": 1, "mul": 2, "span": 4, "inverse": 1}
 
 
 def _base_monoid(name: str) -> finite.FiniteSemigroup:
@@ -198,6 +199,12 @@ def _parse_letter(m: byleen.TwoTransitiveMatrix, text: str) -> byleen.Letter:
 
 
 def cmd_byleen(args) -> int:
+    want = _BYLEEN_WORDS[args.action]
+    if len(args.args) != want:
+        words = "1 word" if want == 1 else f"{want} words"
+        print(json.dumps({"error": f"byleen {args.action} takes {words}, "
+                                   f"got {len(args.args)}"}), file=sys.stderr)
+        return 2
     m = byleen.TwoTransitiveMatrix(_base_monoid(args.base))
     try:
         if args.action == "eval":
@@ -227,7 +234,7 @@ def cmd_byleen(args) -> int:
                 m, t, lambda s: next(iter(finite.inverses_of(m.base, s)), None))
             _emit({"element": byleen.render(t), "inverse": byleen.render(inv),
                    "verified": True}, args.pretty)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     except (byleen.EqualElements, byleen.NotRegularBase, byleen.CertificateError) as exc:
@@ -281,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("byleen", help="normal forms and certificates")
-    p.add_argument("action", choices=["eval", "mul", "span", "inverse"])
+    p.add_argument("action", choices=list(_BYLEEN_WORDS))
     p.add_argument("args", nargs="*")
     p.add_argument("--base", choices=["c2", "trivial"], default="c2")
     p.add_argument("--pretty", action="store_true")

@@ -320,6 +320,7 @@ def test_render_indices_past_digit_limit(mat):
     rng = random.Random(11)
     indices = [rng.getrandbits(bits) | 1 << bits - 1 for bits in (1, 7999, 8000, 8001, 40000)]
     indices += [10 ** 2408, 10 ** 3000, 10 ** 5000 + 7, 10 ** 2000 - 1]
+    indices += [10 ** 600 - 1, 10 ** 600, 10 ** 600 + 1, 10 ** 1200 + 7]  # chunk edges
     for x in indices:
         text = byleen.render(NormalForm((BLetter(x, 0),), 1, (ALetter(x, 1),), mat))
         b, s, a = text.split()

@@ -399,6 +399,61 @@ def test_byleen_inverse(capsys):
                                "inverse": "b(3920,s0) s1 a(21328,s0)", "verified": True}
 
 
+# stdout of `sg byleen ...` for one command per span case and an inverse
+_G = "b(0,s0) s1 a(0,s0)"
+_BYLEEN_STDOUT = {
+    "equal-words": (
+        ["span", _G, "b(0,s0) s0 a(0,s0)", "s1", "a(0,s0)"],
+        '{"case": "equal-words", "factors": [{"diag": "a(2753295727946,s0)"}, '
+        '{"diag": "a(0,s0)"}, {"diag": "a(21328,s0)"}, '
+        '{"gen": ["b(0,s0) s1 a(0,s0)", "b(0,s0) a(0,s0)"]}, {"diag": "b(3920,s0)"}, '
+        '{"diag": "b(119660,s0) b(59828,s0)"}], "verified": true}\n'),
+    "a-words-differ": (
+        ["span", _G, "b(0,s0) s0 a(1,s1)", "s1", "a(0,s0)"],
+        '{"case": "a-words-differ", "factors": [{"diag": "a(2753295727946,s0)"}, '
+        '{"diag": "a(0,s0)"}, {"diag": "a(21328,s0)"}, '
+        '{"gen": ["b(0,s0) s1 a(0,s0)", "b(0,s0) a(1,s1)"]}, {"diag": "b(500268,s0)"}, '
+        '{"diag": "b(3920,s0) b(59828,s0)"}], "verified": true}\n'),
+    "b-words-differ": (
+        ["span", _G, "b(1,s0) s0 a(0,s0)", "s1", "a(0,s0)"],
+        '{"case": "b-words-differ", "factors": '
+        '[{"diag": "a(169176,s0) a(21328,s0) a(682340,s0)"}, '
+        '{"gen": ["b(0,s0) s1 a(0,s0)", "b(1,s0) a(0,s0)"]}, {"diag": "b(3920,s0)"}, '
+        '{"diag": "b(0,s0)"}, {"diag": "b(1668906958154,s0)"}], "verified": true}\n'),
+    "both-differ-trivial": (
+        ["span", "b(0,s0)", "a(0,s0)", "1", "a(1,s0)", "--base", "trivial"],
+        '{"case": "both-differ", "factors": [{"diag": "a(5769887694177882010,s0)"}, '
+        '{"diag": "a(170580,s0)"}, {"diag": "1"}, {"gen": ["b(0,s0)", "a(0,s0)"]}, '
+        '{"diag": "1"}, {"diag": "b(3920,s0) b(104307403736,s0)"}], "verified": true}\n'),
+    "inverse": (
+        ["inverse", "b(1,s1) b(0,s0) s1 a(2,s0) a(0,s1)"],
+        '{"element": "b(1,s1) b(0,s0) s1 a(2,s0) a(0,s1)", '
+        '"inverse": "b(3744,s0) b(3456,s0) s1 a(21328,s0) a(166048,s0)", '
+        '"verified": true}\n'),
+}
+
+
+@pytest.mark.parametrize("name", list(_BYLEEN_STDOUT))
+def test_byleen_output_pinned(capsys, name):
+    argv, stdout = _BYLEEN_STDOUT[name]
+    code, out, _ = run(capsys, ["byleen", *argv])
+    assert code == 0 and out == stdout
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["eval", "a(0,s0)", "junk"], "byleen eval takes 1 word, got 2"),
+    (["eval"], "byleen eval takes 1 word, got 0"),
+    (["mul", "a(0,s0)"], "byleen mul takes 2 words, got 1"),
+    (["span", "a(0,s0)", "b(0,s0)", "s1", "a(2,s1)", "s0"], "byleen span takes 4 words, got 5"),
+    (["span", "a(0,s0)", "b(0,s0)", "s1"], "byleen span takes 4 words, got 3"),
+    (["inverse", "s1", "s1"], "byleen inverse takes 1 word, got 2"),
+])
+def test_byleen_word_count(capsys, argv, error):
+    code, out, err = run(capsys, ["byleen", *argv])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": error}
+
+
 def test_byleen_parse_error(capsys):
     code, _, err = run(capsys, ["byleen", "eval", "q(0)"])
     assert code == 2
@@ -491,6 +546,20 @@ def test_byleen_failed_certificate_exits_1(capsys, monkeypatch):
 def _sg_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     return {**os.environ, "PYTHONPATH": src}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str digit limit in this Python")
+def test_byleen_render_under_least_digit_limit():
+    # 640 is the least limit Python accepts; the longest index here has 696 digits
+    a_word = " ".join(f"a({i % 3},s{i % 2})" for i in range(64))
+    b_word = " ".join(f"b({i % 3},s{(i + 1) % 2})" for i in range(64))
+    proc = subprocess.run([sys.executable, "-X", "int_max_str_digits=640", "-m", "sgdsc.cli",
+                           "byleen", "span", f"{b_word} s1 {a_word}", a_word, "s1", "a(2,s1)"],
+                          capture_output=True, env=_sg_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == \
+        "f041429d643ea647097d3d701a24e582628a49b9c54f7b4caa371f9a5778ee31"
 
 
 def test_module_entry_point_runs_once():
