@@ -21,8 +21,9 @@ returning it, and raises CertificateError if the re-check fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
+from . import finite
 from .finite import FiniteSemigroup, SemigroupError, identity_index
 
 
@@ -627,17 +628,14 @@ def express_pair(m: TwoTransitiveMatrix, g: NormalForm, h: NormalForm,
 # ---------------------------------------------------------------------------
 # Regularity (sandwich inverses)
 
-def inverse_of(m: TwoTransitiveMatrix, t: NormalForm,
-               inv_oracle: Callable[[int], Optional[int]]) -> NormalForm:
-    """An inverse y·s'·x of v·s·u, given a sandwich-inverse oracle on the base."""
-    s_inv = inv_oracle(t.s)
-    tab = m.base.table
-    if s_inv is None or tab[tab[t.s][s_inv]][t.s] != t.s \
-            or tab[tab[s_inv][t.s]][s_inv] != s_inv:
+def inverse_of(m: TwoTransitiveMatrix, t: NormalForm) -> NormalForm:
+    """An inverse y·s'·x of v·s·u, s' the first sandwich inverse of s in the base."""
+    inverses = finite.inverses_of(m.base, t.s)
+    if not inverses:
         raise NotRegularBase(f"no sandwich inverse for base element {t.s}")
     one = SElem(m.identity)
     x = tuple(m.find_row(b, _other(m, b), one, one) for b in reversed(t.v))
     y = tuple(m.find_column(a, _other(m, a), one, one) for a in reversed(t.u))
-    inv = NormalForm(y, s_inv, x, m)
+    inv = NormalForm(y, inverses[0], x, m)
     _certify(nf_mul(nf_mul(t, inv), t) == t and nf_mul(nf_mul(inv, t), inv) == inv, "inverse_of")
     return inv

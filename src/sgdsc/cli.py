@@ -60,7 +60,7 @@ def cmd_check(args) -> int:
     ideal = finite.proper_ideal(s)
     add("simple", simple, None if simple else {"proper_ideal": sorted(ideal)})
     cs = finite.is_completely_simple(s)
-    add("completely_simple", cs, None if cs else {"proper_ideal": sorted(ideal) if ideal else None})
+    add("completely_simple", cs, None if cs else {"proper_ideal": sorted(ideal)})
     inv = finite.is_inverse(s)
     inv_witness = None
     if not inv:
@@ -230,8 +230,7 @@ def cmd_byleen(args) -> int:
                   args.pretty)
         else:  # inverse
             t = byleen.reduce(m, _parse_word(m, args.args[0]))
-            inv = byleen.inverse_of(
-                m, t, lambda s: next(iter(finite.inverses_of(m.base, s)), None))
+            inv = byleen.inverse_of(m, t)
             _emit({"element": byleen.render(t), "inverse": byleen.render(inv),
                    "verified": True}, args.pretty)
     except ValueError as exc:

@@ -415,18 +415,11 @@ def idempotents(s: FiniteSemigroup) -> frozenset[int]:
     return frozenset(e for e in range(s.order) if s.table[e][e] == e)
 
 
-def _idem_leq(s: FiniteSemigroup, e: int, f: int) -> bool:
-    return s.table[e][f] == e and s.table[f][e] == e
-
-
 def is_completely_simple(s: FiniteSemigroup) -> bool:
-    if not is_simple(s):
-        return False
-    es = idempotents(s)
-    for e in es:
-        if all(not (_idem_leq(s, f, e) and f != e) for f in es):
-            return True
-    return False
+    """Simple with a primitive idempotent, which for finite S is just simple:
+    some power of each element is idempotent, and finitely many idempotents
+    have a minimal one (Howie, Fundamentals of Semigroup Theory, ch. 3)."""
+    return is_simple(s)
 
 
 def inverses_of(s: FiniteSemigroup, x: int) -> list[int]:
@@ -510,14 +503,6 @@ def sandwich(s: FiniteSemigroup, a: int) -> FiniteSemigroup:
     return validate_cayley(s.order, table, [f"{nm}^{s.names[a]}" for nm in s.names])
 
 
-def _partition_classes(order: int, pairs) -> list[list[int]]:
-    find = _UnionFind(order, pairs).find
-    groups: dict[int, list[int]] = {}
-    for x in range(order):
-        groups.setdefault(find(x), []).append(x)
-    return sorted(groups.values(), key=min)
-
-
 def quotient(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]]):
     """Quotient by a congruence given as a set of pairs.
 
@@ -533,12 +518,16 @@ def quotient(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]]):
         raise NotACongruence("relation is not transitive")
     if not rep.is_subsemigroup:
         raise NotACongruence("relation is not compatible")
-    classes = _partition_classes(s.order, rel)
-    class_of = [0] * s.order
-    for cid, cls in enumerate(classes):
-        for x in cls:
-            class_of[x] = cid
-    m = len(classes)
+    # rel is an equivalence, so x's class is named by its least partner and
+    # numbering by first occurrence orders the classes by least member
+    least = list(range(s.order))
+    for (x, y) in rel:
+        least[x] = min(least[x], y)
+    class_of = list(_classes_from_keys(least))
+    m = max(class_of) + 1
+    classes: list[list[int]] = [[] for _ in range(m)]
+    for x, cid in enumerate(class_of):
+        classes[cid].append(x)
     table = [[class_of[s.table[classes[a][0]][classes[b][0]]] for b in range(m)]
              for a in range(m)]
     names = ["{" + "|".join(s.names[x] for x in cls) + "}" for cls in classes]

@@ -253,9 +253,11 @@ def witness_non_dsc(s: FiniteSemigroup) -> tuple[PairSet, tuple[int, int], str]:
     """A verified diagonal subsemigroup of S x S that is not symmetric.
 
     Non-simple S: rho = I x S ∪ Δ for the smallest proper principal ideal I.
-    Simple non-group S (hence completely simple): cross-pairs between the two
-    lowest R-classes restricted to a common L-class, plus all H-related pairs;
-    dual over L-classes when there is a single R-class.
+    Simple non-group S (hence completely simple): all H-related pairs, plus
+    the cross-pairs from R-class 0 to R-class 1 within a common L-class;
+    dual over L-classes when there is a single R-class.  Class ids number
+    classes by least member, so 0 and 1 are the two lowest.  The failing
+    pair is the first asymmetric one, which axiom_report records.
     """
     if finite.is_group(s):
         raise IsGroup("witness_non_dsc requires a non-group")
@@ -267,40 +269,17 @@ def witness_non_dsc(s: FiniteSemigroup) -> tuple[PairSet, tuple[int, int], str]:
         strategy = "ideal"
     else:
         gd = finite.greens(s)
-        h_pairs = {(x, y) for x in range(n) for y in range(n)
-                   if gd.h_class[x] == gd.h_class[y]}
-        if len(set(gd.r_class)) >= 2:
-            ci, ck = _two_lowest_classes(gd.r_class)
-            pairs = {(x, y) for x in range(n) for y in range(n)
-                     if gd.r_class[x] == ci and gd.r_class[y] == ck
-                     and gd.l_class[x] == gd.l_class[y]}
-            strategy = "rees-R"
-        else:
-            ci, ck = _two_lowest_classes(gd.l_class)
-            pairs = {(x, y) for x in range(n) for y in range(n)
-                     if gd.l_class[x] == ci and gd.l_class[y] == ck
-                     and gd.r_class[x] == gd.r_class[y]}
-            strategy = "rees-L"
-        pairs |= h_pairs
+        r, l, h = gd.r_class, gd.l_class, gd.h_class
+        major, minor, strategy = (r, l, "rees-R") if max(r) > 0 else (l, r, "rees-L")
+        pairs = {(x, y) for x in range(n) for y in range(n)
+                 if h[x] == h[y] or (major[x] == 0 and major[y] == 1 and minor[x] == minor[y])}
     ps = PairSet(s, frozenset(pairs))
     rep = ps._report
     if not (rep.contains_diagonal and rep.is_subsemigroup):
         raise finite.SemigroupError(f"witness construction broke: {rep.violations}")
     if rep.is_symmetric:
         raise finite.SemigroupError("witness construction produced a symmetric relation")
-    failing = min((x, y) for (x, y) in ps.pairs if (y, x) not in ps.pairs)
-    return ps, failing, strategy
-
-
-def _two_lowest_classes(class_of: tuple[int, ...]) -> tuple[int, int]:
-    # the two classes with the smallest member indices
-    seen = []
-    for x, c in enumerate(class_of):
-        if c not in seen:
-            seen.append(c)
-        if len(seen) == 2:
-            break
-    return seen[0], seen[1]
+    return ps, rep.violations["is_symmetric"], strategy
 
 
 def witness_json(ps: PairSet, failing: tuple[int, int], strategy: str) -> dict:

@@ -191,19 +191,10 @@ def test_criterion_6_span_certificates():
 
 def test_criterion_7_inverses():
     m = byleen.TwoTransitiveMatrix(finite.cyclic_group(2))
-    base = m.base
-
-    def oracle(s):
-        for t in range(base.order):
-            if base.table[base.table[s][t]][s] == s and \
-                    base.table[base.table[t][s]][t] == t:
-                return t
-        return None
-
     rng = random.Random(11)
     for _ in range(200):
         t = _random_nf(m, rng, rng.randint(0, 3), rng.randint(0, 3))
-        inv = byleen.inverse_of(m, t, oracle)
+        inv = byleen.inverse_of(m, t)
         assert byleen.nf_mul(byleen.nf_mul(t, inv), t) == t
         assert byleen.nf_mul(byleen.nf_mul(inv, t), inv) == inv
     _line(7, True, "200 random elements: both sandwich identities hold")

@@ -14,16 +14,6 @@ def mat():
     return byleen.TwoTransitiveMatrix(finite.cyclic_group(2))
 
 
-def sandwich_inverse_oracle(base):
-    def oracle(s):
-        for t in range(base.order):
-            if base.table[base.table[s][t]][s] == s and \
-                    base.table[base.table[t][s]][t] == t:
-                return t
-        return None
-    return oracle
-
-
 def random_letters(rng, max_n=2, max_s=1):
     pool = [ALetter(n, s) for n in range(max_n + 1) for s in range(max_s + 1)]
     pool += [BLetter(n, s) for n in range(max_n + 1) for s in range(max_s + 1)]
@@ -432,15 +422,25 @@ def test_express_pair(mat):
 
 
 def test_inverse_of(mat):
-    oracle = sandwich_inverse_oracle(mat.base)
     ident = byleen.identity_nf(mat)
-    assert byleen.inverse_of(mat, ident, oracle) == ident
+    assert byleen.inverse_of(mat, ident) == ident
     t = NormalForm((), 1, (ALetter(0, 0),), mat)
-    inv = byleen.inverse_of(mat, t, oracle)
+    inv = byleen.inverse_of(mat, t)
     assert byleen.nf_mul(byleen.nf_mul(t, inv), t) == t
     t2 = NormalForm((BLetter(0, 0),), 0, (), mat)
-    inv2 = byleen.inverse_of(mat, t2, oracle)
+    inv2 = byleen.inverse_of(mat, t2)
     assert byleen.nf_mul(byleen.nf_mul(inv2, t2), inv2) == inv2
+
+
+def test_inverse_of_takes_the_first_sandwich_inverse():
+    # LZ2 with an identity adjoined: x0 has the inverses x0 and x1, and x0 is used
+    base = finite.validate_cayley(3, [[0, 0, 0], [1, 1, 1], [0, 1, 2]], ["x0", "x1", "1"])
+    assert finite.inverses_of(base, 0) == [0, 1]
+    m = byleen.TwoTransitiveMatrix(base)
+    t = NormalForm((BLetter(0, 1),), 0, (ALetter(1, 0),), m)
+    inv = byleen.inverse_of(m, t)
+    assert inv.s == 0
+    assert byleen.render(inv) == "b(216408,s2) s0 a(1353048,s2)"
 
 
 def test_inverse_of_rejects_non_regular_base():
@@ -450,7 +450,7 @@ def test_inverse_of_rejects_non_regular_base():
     m = byleen.TwoTransitiveMatrix(base)
     t = NormalForm((), 1, (), m)
     with pytest.raises(byleen.NotRegularBase):
-        byleen.inverse_of(m, t, sandwich_inverse_oracle(base))
+        byleen.inverse_of(m, t)
 
 
 def test_trivial_base_monoid():
@@ -484,7 +484,7 @@ def test_corrupt_product_raises_certificate_error(monkeypatch):
     # every product in the re-check evaluates to the identity
     monkeypatch.setattr(byleen, "nf_mul", lambda x, y: byleen.identity_nf(m))
     with pytest.raises(byleen.CertificateError):
-        byleen.inverse_of(m, t, sandwich_inverse_oracle(m.base))
+        byleen.inverse_of(m, t)
 
 
 def test_corrupt_evaluation_raises_certificate_error(monkeypatch):

@@ -198,7 +198,8 @@ def test_check_and_witness_output_pinned(capsys, large_table, name, command):
     assert hashlib.sha256(out.encode()).hexdigest() == _LARGE_STDOUT[name, command]
 
 
-@pytest.mark.parametrize("name, strategy", [("C16-zero", "ideal"), ("rees-C4-2x2", "rees-R")])
+@pytest.mark.parametrize("name, strategy", [("C16-zero", "ideal"), ("rees-C4-2x2", "rees-R"),
+                                            ("RZ4xC4", "rees-L")])
 def test_check_and_witness_analyse_the_table_once(capsys, monkeypatch, large_table,
                                                   name, strategy):
     calls = {}

@@ -5,8 +5,8 @@ calls: the n^3 associativity scan, principal ideals {x} ∪ xS ∪ Sx ∪ SxS, t
 four congruence axioms as double loops over the sorted pairs, closures as
 fixpoints of those loops, diagonal subsemigroups by scanning every subset
 of off-diagonal pairs, groups and inverse semigroups by their defining
-identities and inverses, and greedy generating sets by growing each
-subsemigroup to a fixpoint.
+identities and inverses, complete simplicity by a minimal idempotent, and
+greedy generating sets by growing each subsemigroup to a fixpoint.
 """
 
 import functools
@@ -131,6 +131,16 @@ def inverse_oracle(s):
     t, n = s.table, s.order
     return all(sum(1 for y in range(n) if t[t[x][y]][x] == x and t[t[y][x]][y] == y) == 1
                for x in range(n))
+
+
+def completely_simple_oracle(s):
+    """Simple, with an idempotent e that no other idempotent f lies under
+    (ef = fe = f)."""
+    t = s.table
+    es = [e for e in range(s.order) if t[e][e] == e]
+    simple = all(len(ideal) == s.order for ideal in principal_ideals(s)[2])
+    return simple and any(all(not (t[e][f] == f == t[f][e]) for f in es if f != e)
+                          for e in es)
 
 
 def generators_oracle(s):
@@ -368,6 +378,7 @@ def test_constructed_semigroups_match_oracles(s):
     assert finite.proper_ideal(s) == smallest_proper_ideal(s)
     assert finite.is_group(s) == group_oracle(s)
     assert finite.is_inverse(s) == inverse_oracle(s)
+    assert finite.is_completely_simple(s) == completely_simple_oracle(s)
     if not group_oracle(s):
         ps, failing, _ = relations.witness_non_dsc(s)
         flags, _ = axiom_oracle(s, ps.pairs)
@@ -385,6 +396,11 @@ def test_is_inverse_and_is_group_match_definitions_orders_1_to_4():
     for s in tables_up_to_4():
         assert finite.is_inverse(s) == inverse_oracle(s)
         assert finite.is_group(s) == group_oracle(s)
+
+
+def test_is_completely_simple_matches_definition_orders_1_to_4():
+    for s in tables_up_to_4():
+        assert finite.is_completely_simple(s) == completely_simple_oracle(s)
 
 
 def check_subset_scan(s):

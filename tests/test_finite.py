@@ -210,7 +210,8 @@ def test_quotient_c4_by_02():
     sigma = relations.congruence_generated(c4, [(0, 2)])
     q, class_of = finite.quotient(c4, sigma.pairs)
     assert canonical_form(q) == canonical_form(finite.cyclic_group(2))
-    assert class_of[0] == class_of[2] and class_of[1] == class_of[3]
+    assert class_of == [0, 1, 0, 1]
+    assert q.names == ("{g0|g2}", "{g1|g3}")
 
 
 def test_quotient_by_diagonal_and_full():
