@@ -205,54 +205,55 @@ def greedy_generators(rows: Sequence[Sequence[int]]) -> list[int]:
     the same orbit for diagonal closures and the closure test.
     """
     n = len(rows)
-    codes = _pair_orbit(rows, range(0, n * n, n + 1), bytearray(b"\1") * (n * n))
+    codes, _ = _pair_orbit(rows, range(0, n * n, n + 1))
     return [g // (n + 1) for g in codes]
 
 
+# reached flags 0 and 1 as the digits of a base-2 numeral
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def _pair_orbit(rows: Sequence[Sequence[int]], codes: Iterable[int],
-                state: bytearray) -> Optional[list[int]]:
+                allowed: Optional[Sequence[int]] = None
+                ) -> Optional[tuple[list[int], int]]:
     """Greedy generators of the pairs ``codes`` in S x S, and their right orbit.
 
-    Pairs (x, y) are coded p = x*n + y, and ``state[p]`` is updated in place:
-    0 forbidden, 1 allowed, 2 reached.  A code not yet reached becomes a
+    Pairs (x, y) are coded p = x*n + y.  A code not yet reached becomes a
     generator: every pair already reached is multiplied by it, then the new
     pairs by every generator (Froidure & Pin's right Cayley graph
     enumeration).  The orbit holds the left-bracketed products of the
     generators, so at the end the reached pairs are the subsemigroup they
-    generate.  Returns the generator codes, or None as soon as a product
-    is forbidden.
+    generate.  ``allowed`` is a relation as row bitsets, bit y of
+    ``allowed[x]`` set for (x, y) in it, and holds the codes.  Returns the
+    generator codes and the reached pairs as a bitmask over their codes (the
+    rows laid end to end), or None as soon as a product falls outside
+    ``allowed``.
     """
     n = len(rows)
+    reached = bytearray(n * n)
     orbit: list[tuple[int, int]] = []
     gens: list[tuple[int, int]] = []
     for g in codes:
-        if state[g] == 2:
+        if reached[g]:
             continue
-        z, w = divmod(g, n)
         old = len(orbit)
-        gens.append((z, w))
-        state[g] = 2
-        orbit.append((z, w))
-        for (x, y) in orbit[:old]:
-            p = rows[x][z] * n + rows[y][w]
-            if state[p] != 2:
-                if not state[p]:
-                    return None
-                state[p] = 2
-                orbit.append(divmod(p, n))
-        i = old
-        while i < len(orbit):
-            x, y = orbit[i]
+        new = [divmod(g, n)]
+        gens += new
+        reached[g] = 1
+        orbit += new
+        # the pairs reached before g are multiplied by g, g and later pairs by
+        # every generator; the loop runs on over the pairs it appends
+        for i, (x, y) in enumerate(orbit):
             tx, ty = rows[x], rows[y]
-            for (z, w) in gens:
+            for (z, w) in (new if i < old else gens):
                 p = tx[z] * n + ty[w]
-                if state[p] != 2:
-                    if not state[p]:
+                if not reached[p]:
+                    a, b = divmod(p, n)
+                    if allowed is not None and not allowed[a] >> b & 1:
                         return None
-                    state[p] = 2
-                    orbit.append(divmod(p, n))
-            i += 1
-    return [z * n + w for (z, w) in gens]
+                    reached[p] = 1
+                    orbit.append((a, b))
+    return [z * n + w for (z, w) in gens], int(reached[::-1].translate(_DIGITS), 2)
 
 
 def _light_test(rows: Sequence[tuple[int, ...]], g: int) -> bool:
@@ -449,9 +450,8 @@ def natural_partial_order(s: FiniteSemigroup):
         raise NotInverse("natural_partial_order requires an inverse semigroup")
     from .relations import PairSet
     es = idempotents(s)
-    pairs = {(s.table[e][y], y) for e in es for y in range(s.order)}
-    pairs |= {(x, x) for x in range(s.order)}
-    return PairSet.from_pairs(s, pairs)
+    # the diagonal is among these pairs: x = (x·x⁻¹)·x with x·x⁻¹ idempotent
+    return PairSet.from_pairs(s, [(s.table[e][y], y) for e in es for y in range(s.order)])
 
 
 # ---------------------------------------------------------------------------
@@ -509,21 +509,18 @@ def quotient(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]]):
     Returns (quotient semigroup, class map).  Raises NotACongruence if the
     pair set is not an equivalence compatible with multiplication.
     """
-    from .relations import PairSet, axiom_report, diagonal
-    rel = PairSet.from_pairs(s, pairs).pairs | diagonal(s)
-    rep = axiom_report(s, PairSet(s, rel))
+    from .relations import PairSet, axiom_report
+    rel = PairSet.from_pairs(s, [*pairs, *((x, x) for x in range(s.order))])
+    rep = axiom_report(s, rel)
     if not rep.is_symmetric:
         raise NotACongruence("relation is not symmetric")
     if not rep.is_transitive:
         raise NotACongruence("relation is not transitive")
     if not rep.is_subsemigroup:
         raise NotACongruence("relation is not compatible")
-    # rel is an equivalence, so x's class is named by its least partner and
-    # numbering by first occurrence orders the classes by least member
-    least = list(range(s.order))
-    for (x, y) in rel:
-        least[x] = min(least[x], y)
-    class_of = list(_classes_from_keys(least))
+    # rel is an equivalence, so row x is the bitset of x's class, and
+    # numbering rows by first occurrence orders the classes by least member
+    class_of = list(_classes_from_keys(rel.rows))
     m = max(class_of) + 1
     classes: list[list[int]] = [[] for _ in range(m)]
     for x, cid in enumerate(class_of):

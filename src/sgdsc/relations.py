@@ -23,15 +23,18 @@ class IsGroup(finite.SemigroupError):
 
 @dataclass(frozen=True)
 class PairSet:
+    """A relation on a finite semigroup as row bitsets: bit y of ``rows[x]``
+    is set when (x, y) is in it.  Iteration yields the pairs in sorted order,
+    row by row and lowest bit first; ``in`` scans that iteration."""
     subject: FiniteSemigroup
-    pairs: frozenset[tuple[int, int]]
+    rows: tuple[int, ...]
 
     @staticmethod
     def from_pairs(subject: FiniteSemigroup, pairs: Iterable[tuple[int, int]]) -> "PairSet":
         """Pairs of plain ints (bools and floats are rejected) inside S, the
         first bad one named: OutOfRange if out of range, else SemigroupError."""
         n = subject.order
-        ps = set()
+        rows = [0] * n
         for pair in pairs:
             if not (isinstance(pair, (tuple, list)) and len(pair) == 2
                     and type(pair[0]) is int and type(pair[1]) is int):
@@ -39,17 +42,21 @@ class PairSet:
             x, y = pair
             if not (0 <= x < n and 0 <= y < n):
                 raise finite.OutOfRange((x, y))
-            ps.add((x, y))
-        return PairSet(subject, frozenset(ps))
+            rows[x] |= 1 << y
+        return PairSet(subject, tuple(rows))
 
-    def __contains__(self, pair) -> bool:
-        return pair in self.pairs
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for x, row in enumerate(self.rows):
+            while row:
+                low = row & -row
+                yield x, low.bit_length() - 1
+                row ^= low
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return sum(row.bit_count() for row in self.rows)
 
     def sorted_pairs(self) -> list[list[int]]:
-        return [list(p) for p in sorted(self.pairs)]
+        return [[x, y] for (x, y) in self]
 
     @functools.cached_property
     def _report(self) -> AxiomReport:
@@ -80,30 +87,17 @@ class AxiomReport:
         }
 
 
-def diagonal(s: FiniteSemigroup) -> frozenset[tuple[int, int]]:
-    return frozenset((x, x) for x in range(s.order))
-
-
 def _pair_set(s: FiniteSemigroup, mask: int) -> PairSet:
+    """The pair set of a bitmask over pair codes p = x*n + y: its rows laid end to end."""
     n = s.order
-    return PairSet(s, frozenset(divmod(p, n) for p in range(n * n) if mask >> p & 1))
-
-
-def _close(s: FiniteSemigroup, mask: int) -> int:
-    """Least subsemigroup of S x S containing the pairs of ``mask``, a bitmask
-    over pair codes p = x*n + y: what finite._pair_orbit reaches from them
-    with every pair allowed."""
-    n = s.order
-    state = bytearray(b"\1") * (n * n)
-    finite._pair_orbit(s.table, [p for p in range(n * n) if mask >> p & 1], state)
-    return sum(1 << p for p, v in enumerate(state) if v == 2)
+    return PairSet(s, tuple(mask >> p & (1 << n) - 1 for p in range(0, n * n, n)))
 
 
 def diagonal_closure(s: FiniteSemigroup, generators: Iterable[tuple[int, int]]) -> PairSet:
     """Least subsemigroup of S x S containing the diagonal and the generators."""
     n = s.order
-    pairs = diagonal(s) | PairSet.from_pairs(s, generators).pairs
-    return _pair_set(s, _close(s, sum(1 << (x * n + y) for (x, y) in pairs)))
+    codes = [x * n + y for (x, y) in PairSet.from_pairs(s, generators)]
+    return _pair_set(s, finite._pair_orbit(s.table, [*range(0, n * n, n + 1), *codes])[1])
 
 
 def congruence_generated(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]]) -> PairSet:
@@ -114,7 +108,7 @@ def congruence_generated(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]]) -
     every g in a generating set.  The merged pairs span the blocks, so the
     blocks are closed under translation by generators, hence by all of S.
     """
-    queue = list(PairSet.from_pairs(s, pairs).pairs)
+    queue = list(PairSet.from_pairs(s, pairs))
     t = s.table
     n = s.order
     gens = s._generators
@@ -125,57 +119,53 @@ def congruence_generated(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]]) -
             for g in gens:
                 queue.append((t[x][g], t[y][g]))
                 queue.append((t[g][x], t[g][y]))
-    root = [blocks.find(x) for x in range(n)]
-    return PairSet(s, frozenset((x, y) for x in range(n) for y in range(n)
-                                if root[x] == root[y]))
+    block = [0] * n
+    for x in range(n):
+        block[blocks.find(x)] |= 1 << x
+    return PairSet(s, tuple(block[blocks.find(x)] for x in range(n)))
 
 
 def axiom_report(s: FiniteSemigroup, rho: PairSet) -> AxiomReport:
     """Check the four congruence axioms independently, recording first violations.
 
-    Closure is finite._pair_orbit over sorted rho with only rho allowed: if
-    the right orbit of its greedy generators G stays inside rho it reaches
-    all of rho, so rho = <G> is closed.  Transitivity compares
-    successor bitsets.  Only a product leaving rho runs the lexicographic
-    double loop that names the first failing (x, y, z, w).
+    rho's pairs are listed once, in sorted order.  Closure is
+    finite._pair_orbit over them with rho's rows as the allowed relation: if
+    the right orbit of their greedy generators G stays inside rho it reaches
+    all of rho, so rho = <G> is closed.  Transitivity compares rows.  Only a
+    product leaving rho runs the lexicographic double loop that names the
+    first failing (x, y, z, w).
     """
     n, t = s.order, s.table
-    pairs = rho.pairs
-    srt = sorted(pairs)
+    if rho.subject.order != n:
+        raise finite.SemigroupError(f"relation on order {rho.subject.order} checked on order {n}")
+    rows, pairs = rho.rows, list(rho)
     violations: dict = {}
 
     diag_ok = True
     for x in range(n):
-        if (x, x) not in pairs:
+        if not rows[x] >> x & 1:
             diag_ok = False
             violations["contains_diagonal"] = (x, x)
             break
 
-    codes = [x * n + y for (x, y) in srt]
-    state = bytearray(n * n)
-    for p in codes:
-        state[p] = 1
-    sub_ok = finite._pair_orbit(t, codes, state) is not None
+    sub_ok = finite._pair_orbit(t, [x * n + y for (x, y) in pairs], rows) is not None
     if not sub_ok:
         violations["is_subsemigroup"] = next(
-            (x, y, z, w) for (x, y) in srt for (z, w) in srt
-            if (t[x][z], t[y][w]) not in pairs)
+            (x, y, z, w) for (x, y) in pairs for (z, w) in pairs
+            if not rows[t[x][z]] >> t[y][w] & 1)
 
     sym_ok = True
-    for (x, y) in srt:
-        if (y, x) not in pairs:
+    for (x, y) in pairs:
+        if not rows[y] >> x & 1:
             sym_ok = False
             violations["is_symmetric"] = (x, y)
             break
 
-    # succ[x] has bit z set for (x, z) in rho; the first failure is the
-    # first (x, y) in order with a z in succ[y] \ succ[x], taken smallest
-    succ = [0] * s.order
-    for (x, y) in srt:
-        succ[x] |= 1 << y
+    # the first failure is the first (x, y) in order with a z in row y but
+    # not in row x, taken smallest
     trans_ok = True
-    for (x, y) in srt:
-        missing = succ[y] & ~succ[x]
+    for (x, y) in pairs:
+        missing = rows[y] & ~rows[x]
         if missing:
             trans_ok = False
             violations["is_transitive"] = (x, y, (missing & -missing).bit_length() - 1)
@@ -198,11 +188,13 @@ SUBSET_SCAN_MAX_ORDER = 4
 def _closed_masks(s: FiniteSemigroup) -> Iterator[int]:
     """Masks of the diagonal subsemigroups of S x S in increasing order (order <= 4).
 
-    Ganter's NextClosure over the off-diagonal pair bits, the highest bit the
-    most significant: the successor of a closed mask A is the closure of
-    (A above p) ∪ Δ ∪ {p} for the lowest p not in A whose closure adds
-    nothing above p.  Each step closes at most n^2 - n candidates, so the
-    cost follows the number of closed masks, not 2^(n^2 - n).
+    A mask has bit p = x*n + y set for (x, y).  Ganter's NextClosure over the
+    off-diagonal pair bits, the highest bit the most significant: the
+    successor of a closed mask A is the closure (what finite._pair_orbit
+    reaches) of (A above p) ∪ Δ ∪ {p} for the lowest p not in A whose
+    closure adds nothing above p.  Each step closes at most n^2 - n
+    candidates, so the cost follows the number of closed masks, not
+    2^(n^2 - n).
     """
     n = s.order
     if n > SUBSET_SCAN_MAX_ORDER:
@@ -216,7 +208,8 @@ def _closed_masks(s: FiniteSemigroup) -> Iterator[int]:
             if mask >> p & 1:
                 continue
             high = mask >> p + 1
-            nxt = _close(s, high << p + 1 | diag | 1 << p)
+            start = high << p + 1 | diag | 1 << p
+            nxt = finite._pair_orbit(s.table, [q for q in range(n * n) if start >> q & 1])[1]
             if nxt >> p + 1 == high:
                 mask = nxt
                 break
@@ -264,16 +257,22 @@ def witness_non_dsc(s: FiniteSemigroup) -> tuple[PairSet, tuple[int, int], str]:
     n = s.order
     ideal = finite.proper_ideal(s)
     if ideal is not None:
-        pairs = {(x, y) for x in ideal for y in range(n)}
-        pairs |= {(x, x) for x in range(n)}
+        rows = [(1 << n) - 1 if x in ideal else 1 << x for x in range(n)]
         strategy = "ideal"
     else:
         gd = finite.greens(s)
         r, l, h = gd.r_class, gd.l_class, gd.h_class
         major, minor, strategy = (r, l, "rees-R") if max(r) > 0 else (l, r, "rees-L")
-        pairs = {(x, y) for x in range(n) for y in range(n)
-                 if h[x] == h[y] or (major[x] == 0 and major[y] == 1 and minor[x] == minor[y])}
-    ps = PairSet(s, frozenset(pairs))
+        # row x: x's H-class, and for x in major class 0 the major class 1
+        # members of x's minor class
+        h_bits = [0] * (max(h) + 1)
+        cross = [0] * (max(minor) + 1)
+        for y in range(n):
+            h_bits[h[y]] |= 1 << y
+            if major[y] == 1:
+                cross[minor[y]] |= 1 << y
+        rows = [h_bits[h[x]] | (cross[minor[x]] if major[x] == 0 else 0) for x in range(n)]
+    ps = PairSet(s, tuple(rows))
     rep = ps._report
     if not (rep.contains_diagonal and rep.is_subsemigroup):
         raise finite.SemigroupError(f"witness construction broke: {rep.violations}")

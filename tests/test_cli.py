@@ -109,8 +109,9 @@ def test_check_deterministic(capsys, table_file):
     assert out1 == out2
 
 
-# Cayley tables of order 16-17 in the shapes of the check-large benchmark,
-# built from their definitions and relabeled x -> 7x + 3 (mod n)
+# Cayley tables of order 16-17 in the shapes of the check-large benchmark, and
+# C255 with an identity adjoined (order 256: its ideal witness has 65 281
+# pairs), built from their definitions and relabeled x -> 7x + 3 (mod n)
 
 def _cyclic(n):
     return [[(i + j) % n for j in range(n)] for i in range(n)]
@@ -146,6 +147,7 @@ _LARGE_TABLES = {
     "RZ4xC4": _product([list(range(4))] * 4, _cyclic(4)),
     "C16-zero": [row + [16] for row in _cyclic(16)] + [[16] * 17],
     "chain2xC8": _product([[0, 0], [0, 1]], _cyclic(8)),
+    "C255^1": [row + [x] for x, row in enumerate(_cyclic(255))] + [list(range(256))],
 }
 
 
@@ -185,6 +187,10 @@ _LARGE_STDOUT = {
         "174bbf43f5a43609f214afdfe549e60ad3abadeeb90871ccf42d9514cdac5870",
     ("chain2xC8", "witness"):
         "232cf1e231cd9c53e55080f3710416085299db51e6f3068626d71bfce30c0853",
+    ("C255^1", "check"):
+        "bc89fc4484a6cae8ef1b5f9da29dd93663538719c5bdb3baef2efd1526d06b2b",
+    ("C255^1", "witness"):
+        "4458b92a41b937ef3a8027baa4f82c6e63e38c6380a741b78ca73c4eca5d8f1a",
 }
 
 

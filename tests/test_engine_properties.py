@@ -245,7 +245,7 @@ def constructed(draw):
             s = finite.sandwich(s, draw(element))
         else:
             pairs = draw(st.sets(st.tuples(element, element), max_size=3))
-            s, _ = finite.quotient(s, relations.congruence_generated(s, pairs).pairs)
+            s, _ = finite.quotient(s, frozenset(relations.congruence_generated(s, pairs)))
     return s
 
 
@@ -268,9 +268,10 @@ def corrupted(draw):
 
 
 @st.composite
-def relations_on(draw):
-    """A semigroup of order <= 8 and a relation on it: random pair sets (with or
-    without the diagonal), diagonal closures and generated congruences."""
+def pairs_on(draw):
+    """A semigroup of order <= 8 and the pairs of a relation on it: random pair
+    sets (with or without the diagonal), diagonal closures and generated
+    congruences."""
     s = draw(semigroups(max_order=8))
     n = s.order
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
@@ -281,10 +282,15 @@ def relations_on(draw):
     elif kind == "with-diagonal":
         pairs = some | {(x, x) for x in range(n)}
     elif kind == "closure":
-        pairs = relations.diagonal_closure(s, some).pairs
+        pairs = frozenset(relations.diagonal_closure(s, some))
     else:
-        pairs = relations.congruence_generated(s, set(list(some)[:2])).pairs
-    return s, relations.PairSet.from_pairs(s, pairs)
+        pairs = frozenset(relations.congruence_generated(s, set(list(some)[:2])))
+    return s, pairs
+
+
+def relations_on():
+    """pairs_on's relation as a PairSet."""
+    return pairs_on().map(lambda drawn: (drawn[0], relations.PairSet.from_pairs(*drawn)))
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +356,27 @@ def test_proper_ideal_is_brute_force_minimum(s):
 @given(relations_on())
 def test_axiom_report_matches_double_loops(subject_rho):
     s, rho = subject_rho
-    flags, violations = axiom_oracle(s, rho.pairs)
+    flags, violations = axiom_oracle(s, frozenset(rho))
     rep = relations.axiom_report(s, rho)
     assert {k: getattr(rep, k) for k in flags} == flags
     assert rep.violations == violations
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs_on(), st.randoms(use_true_random=False))
+def test_pair_set_rows_list_the_pairs_sorted(subject_pairs, rng):
+    s, pairs = subject_pairs
+    listed = [*pairs, *pairs][:len(pairs) + 3]  # up to three pairs twice
+    rng.shuffle(listed)
+    ps = relations.PairSet.from_pairs(s, listed)
+    distinct = sorted(set(listed))
+    assert list(ps) == distinct
+    assert ps.sorted_pairs() == [list(p) for p in distinct]
+    assert len(ps) == len(distinct)
+    # out of range and negative pairs too: rows[-1] would read the last row
+    for x in range(-1, s.order + 1):
+        for y in range(-1, s.order + 1):
+            assert ((x, y) in ps) == ((x, y) in distinct)
 
 
 @settings(max_examples=100, deadline=None)
@@ -362,9 +385,9 @@ def test_witnesses_verify_against_oracle(s):
     if finite.is_group(s):
         return
     ps, failing, _ = relations.witness_non_dsc(s)
-    flags, _ = axiom_oracle(s, ps.pairs)
+    flags, _ = axiom_oracle(s, frozenset(ps))
     assert flags["contains_diagonal"] and flags["is_subsemigroup"]
-    assert (failing[1], failing[0]) not in ps.pairs
+    assert (failing[1], failing[0]) not in frozenset(ps)
 
 
 @settings(max_examples=200, deadline=None)
@@ -381,9 +404,9 @@ def test_constructed_semigroups_match_oracles(s):
     assert finite.is_completely_simple(s) == completely_simple_oracle(s)
     if not group_oracle(s):
         ps, failing, _ = relations.witness_non_dsc(s)
-        flags, _ = axiom_oracle(s, ps.pairs)
+        flags, _ = axiom_oracle(s, frozenset(ps))
         assert flags["contains_diagonal"] and flags["is_subsemigroup"]
-        assert not flags["is_symmetric"] and (failing[1], failing[0]) not in ps.pairs
+        assert not flags["is_symmetric"] and (failing[1], failing[0]) not in frozenset(ps)
 
 
 @settings(max_examples=100, deadline=None)
@@ -409,7 +432,7 @@ def check_subset_scan(s):
     first = next((rho for rho in closed if not is_equivalence(rho)), None)
     ok, witness = relations.brute_force_is_dsc(s)
     assert ok == (first is None)
-    assert witness is None if ok else witness.pairs == first
+    assert witness is None if ok else frozenset(witness) == first
 
 
 def test_closed_set_enumerator_matches_subset_scan():
@@ -429,14 +452,14 @@ def test_closed_set_enumerator_matches_subset_scan_order_4(s):
 @given(with_pairs())
 def test_diagonal_closure_matches_frontier_loop(subject_pairs):
     s, pairs = subject_pairs
-    assert relations.diagonal_closure(s, pairs).pairs == closure_oracle(s, pairs)
+    assert frozenset(relations.diagonal_closure(s, pairs)) == closure_oracle(s, pairs)
 
 
 @settings(max_examples=100, deadline=None)
 @given(with_pairs())
 def test_congruence_generated_matches_fixpoint(subject_pairs):
     s, pairs = subject_pairs
-    assert relations.congruence_generated(s, pairs).pairs == congruence_oracle(s, pairs)
+    assert frozenset(relations.congruence_generated(s, pairs)) == congruence_oracle(s, pairs)
 
 
 # each relation also fails every axiom checked after the one named
