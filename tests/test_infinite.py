@@ -200,6 +200,50 @@ def test_theta_power_huge_exponent(base):
             assert got == _naive_theta_power(theta, x, n + (10 ** 18 - n) % 12)
 
 
+def test_theta_power_rejects_negative_exponent():
+    # θ need not be invertible: the constant map has no θ^-1
+    with pytest.raises(finite.SemigroupError):
+        infinite.theta_power(_theta((0, 0)), 1, -1)
+
+
+def _projection_hom(x, y):
+    return infinite.br_project(infinite.br_mul(x, y)) == \
+        infinite.bicyclic_mul(infinite.br_project(x), infinite.br_project(y))
+
+
+@pytest.mark.parametrize("base", _SMALL_BASES.values(), ids=_SMALL_BASES.keys())
+def test_br_projection_homomorphism_on_box(base):
+    """Independent oracle for the suite's proof: concrete products on a 0..3 box."""
+    for theta in _endomorphisms(base):
+        box = [BRElement(m, s, n, theta)
+               for m in range(4) for s in range(base.order) for n in range(4)]
+        for x in box:
+            for y in box:
+                assert _projection_hom(x, y)
+
+
+def test_br_suite_refutes_mutated_mul(monkeypatch):
+    real = infinite.br_mul
+
+    def mul(x, y):  # br_mul with "- y.m" dropped from the n coordinate
+        p = real(x, y)
+        return BRElement(p.m, p.s, p.n + y.m, p.theta)
+    monkeypatch.setattr(infinite, "br_mul", mul)
+    suite = {c["name"]: c["pass"] for c in infinite.bruck_reilly_checks()}
+    assert suite["projection_homomorphism_theta_identity"] is False
+    assert suite["projection_homomorphism_theta_constant"] is False
+
+
+def test_br_proof_refuses_period_two_orbit():
+    # on C3's automorphism swapping 1 and 2, θ^k(1) depends on k mod 2
+    theta = finite.EndomorphismTable(finite.cyclic_group(3), (0, 2, 1))
+    assert [infinite.theta_power(theta, 1, k) for k in range(4)] == [1, 2, 1, 2]
+
+    with pytest.raises(TypeError):
+        infinite._proved(lambda m1, n1, m2, n2: _projection_hom(
+            BRElement(m1, 1, n1, theta), BRElement(m2, 1, n2, theta)), 4)
+
+
 def test_br_mul_constant_theta_example():
     theta = _theta((0, 0))  # everything maps to the identity
     x = BRElement(1, 1, 2, theta)
