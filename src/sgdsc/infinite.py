@@ -9,12 +9,15 @@ each model is defined here, once, for the CLI and the tests.
 The bicyclic, Bruck-Reilly and integer suites are proved exactly: each law
 runs the library's own code on symbolic integers, one case per outcome of
 each comparison, and every case where the law fails is refuted by
-Fourier-Motzkin elimination.  For Bruck-Reilly extensions this proves that
-the projection to the bicyclic monoid is a homomorphism for all naturals
-m and n, for each endomorphism theta and each pair of base elements.  The
-proof reaches only theta whose orbits have period 1, as both endomorphisms
-of C2 do: over a longer period theta^k depends on k modulo the period,
-which linear arithmetic does not express, and the prover raises TypeError.
+Fourier-Motzkin elimination.  Over the naturals a comparison that its signs
+decide (a constant >= 0 and every coefficient >= 0, or a constant < 0 and
+every coefficient <= 0) takes its only feasible outcome without a case.
+For Bruck-Reilly extensions this proves that the projection to the bicyclic
+monoid is a homomorphism for all naturals m and n, for each endomorphism
+theta and each pair of base elements.  The proof reaches only theta whose
+orbits have period 1, as both endomorphisms of C2 do: over a longer period
+theta^k depends on k modulo the period, which linear arithmetic does not
+express, and the prover raises TypeError.
 """
 
 from __future__ import annotations
@@ -125,10 +128,52 @@ def zdiag_member(x: int, y: int) -> bool:
 # ---------------------------------------------------------------------------
 # Arithmetic-progression sets over the naturals
 
-def _least_period(modulus: int, residues: set[int]) -> int:
-    """Least divisor d of modulus with residues + d = residues (mod modulus)."""
-    return next(d for d in range(1, modulus + 1) if modulus % d == 0
-                and all((r + d) % modulus in residues for r in residues))
+def _mask_of(width: int, residues) -> int:
+    """The width-bit mask with bit r set for each r in residues (0 <= r < width).
+
+    Bits are set in a bytearray and converted once: or-ing 1 << r into an
+    int per residue would copy the whole int each time.
+    """
+    buf = bytearray(width // 8 + 1)
+    for r in residues:
+        buf[r >> 3] |= 1 << (r & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _spread(mask: int, width: int, big: int) -> int:
+    """A width-periodic mask repeated to big bits (width divides big).
+
+    Doubling shifts keep this linear in big; multiplying by the repunit
+    (2^big - 1) // (2^width - 1) would be a quadratic big-int division.
+    """
+    while width < big:
+        mask |= mask << width
+        width *= 2
+    return mask & ((1 << big) - 1)
+
+
+def _least_period(modulus: int, mask: int) -> int:
+    """Least divisor d of modulus whose rotation fixes the modulus-bit mask.
+
+    The rotations fixing the mask are the multiples of its least period, so
+    dividing the period by each prime factor while the mask stays fixed
+    ends there, after O(log modulus) rotations.
+    """
+    full = (1 << modulus) - 1
+    period, n, p = modulus, modulus, 2
+    while n > 1:
+        if p * p > n:
+            p = n  # what is left of n is prime
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            while period % p == 0:
+                s = period // p
+                if (mask >> s | mask << (modulus - s)) & full != mask:
+                    break
+                period = s
+        p += 1
+    return period
 
 
 @dataclass(frozen=True, init=False)
@@ -137,39 +182,62 @@ class APSet:
 
     Normal form: one least modulus, `plus` outside the residue classes and
     `minus` inside them; so membership is one lookup and equal sets are equal.
+    The classes are the int `mask`, bit r set when class r mod `modulus` is
+    in the set, and all normal-form work is whole-int operations linear in
+    the mask width: a mask is widened by doubling shifts, not by a repunit
+    multiple (big-int division is quadratic), and built from bytes, not by
+    or-ing one bit at a time into the int (each or copies it).
     """
     modulus: int
-    residues: frozenset[int]
+    mask: int
     plus: frozenset[int]
     minus: frozenset[int]
 
     def __init__(self, progressions=(), plus=(), minus=()):
-        if any(m < 1 for (m, _) in progressions):
-            raise SemigroupError("progression modulus must be positive")
-        big = math.lcm(*(m for (m, _) in progressions))
-        classes = {x for (m, r) in progressions for x in range(r % m, big, m)}
-        modulus = _least_period(big, classes)
-        residues = frozenset(r % modulus for r in classes)
+        classes = {}  # modulus -> residues
+        for (m, r) in progressions:
+            if m < 1:
+                raise SemigroupError("progression modulus must be positive")
+            classes.setdefault(m, []).append(r % m)
+        big = math.lcm(*classes)
+        mask = 0
+        for m, residues in classes.items():
+            mask |= _spread(_mask_of(m, residues), m, big)
+        self._normalize(big, mask, plus, minus)
+
+    @classmethod
+    def _of_mask(cls, modulus, mask, plus, minus) -> APSet:
+        s = cls.__new__(cls)
+        s._normalize(modulus, mask, plus, minus)
+        return s
+
+    def _normalize(self, big, mask, plus, minus):
+        modulus = _least_period(big, mask)
+        mask &= (1 << modulus) - 1
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "residues", residues)
+        object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "plus", frozenset(
-            n for n in plus if n >= 0 and n % modulus not in residues and n not in minus))
+            n for n in plus if n >= 0 and not self._in_class(n) and n not in minus))
         object.__setattr__(self, "minus", frozenset(
-            n for n in minus if n >= 0 and n % modulus in residues))
+            n for n in minus if n >= 0 and self._in_class(n)))
+
+    def _in_class(self, n: int) -> bool:
+        return (self.mask >> (n % self.modulus)) & 1 == 1
 
     @property
     def progressions(self) -> tuple[tuple[int, int], ...]:
-        return tuple((self.modulus, r) for r in sorted(self.residues))
+        bits = bin(self.mask)[:1:-1]
+        return tuple((self.modulus, r) for r, b in enumerate(bits) if b == "1")
 
     def member(self, n: int) -> bool:
         if n < 0:
             return False
-        if n % self.modulus in self.residues:
+        if self._in_class(n):
             return n not in self.minus
         return n in self.plus
 
     def is_infinite(self) -> bool:
-        return bool(self.residues)
+        return self.mask != 0
 
     def sample(self, upto: int) -> list[int]:
         return [n for n in range(upto + 1) if self.member(n)]
@@ -179,16 +247,15 @@ def apset_intersect(a: APSet, b: APSet) -> APSet:
     # off the patches membership is class membership, so only patch points
     # are rechecked
     big = math.lcm(a.modulus, b.modulus)
-    a_classes, b_classes = ({r + k for r in s.residues for k in range(0, big, s.modulus)}
-                            for s in (a, b))
+    mask = _spread(a.mask, a.modulus, big) & _spread(b.mask, b.modulus, big)
     points = a.plus | a.minus | b.plus | b.minus
     plus = {n for n in points if a.member(n) and b.member(n)}
-    return APSet([(big, r) for r in a_classes & b_classes], plus, points - plus)
+    return APSet._of_mask(big, mask, plus, points - plus)
 
 
 def apset_is_empty(a: APSet) -> bool:
     # minus is finite, so any residue class keeps the set infinite
-    return not a.residues and not a.plus
+    return not a.mask and not a.plus
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +281,8 @@ class CoInjection:
         if len(self.offsets) != self.modulus:
             raise SemigroupError("need one offset per residue")
         # two pieces in one class mod stride meet infinitely often
-        hit = {o % self.stride for o in self.offsets}
-        if min(self.offsets) < 0 or len(hit) != self.modulus:
+        hit = _mask_of(self.stride, (o % self.stride for o in self.offsets))
+        if min(self.offsets) < 0 or hit.bit_count() != self.modulus:
             raise SemigroupError("offsets must be naturals, distinct mod stride")
         sources, targets = [p[0] for p in self.patches], [p[1] for p in self.patches]
         for points in (sources, targets):
@@ -228,10 +295,10 @@ class CoInjection:
         # image = pieces(N) - pieces(sources) + targets, so the complement is
         # the classes no piece hits, each hit class below its offset, and the
         # sources' piece values, less the targets
-        unhit = [(self.stride, c) for c in range(self.stride) if c not in hit]
         below = [v for o in self.offsets for v in range(o % self.stride, o, self.stride)]
         moved = [self.piece_apply(src) for src in sources]
-        object.__setattr__(self, "complement", APSet(unhit, below + moved, targets))
+        object.__setattr__(self, "complement", APSet._of_mask(
+            self.stride, ((1 << self.stride) - 1) ^ hit, below + moved, targets))
 
     def piece_apply(self, k: int) -> int:
         q, r = divmod(k, self.modulus)
@@ -266,8 +333,12 @@ def co_compose(f: CoInjection, g: CoInjection) -> CoInjection:
     """Composite "apply f, then g"; its complement follows from its pieces."""
     m = f.modulus * g.modulus
     stride = f.stride * g.stride
-    offsets = tuple(g.piece_apply(f.piece_apply(rho)) for rho in range(m))
-    # divisibility making per-residue offsets well-defined: g.modulus | f.stride*g.modulus
+    # rho = f.modulus*q + r for q < g.modulus goes to v = f.stride*q + f.offsets[r],
+    # then to g's piece of v; g.modulus | f.stride*g.modulus makes this per-residue
+    f_stride, f_offsets, g_modulus, g_stride, g_offsets = (
+        f.stride, f.offsets, g.modulus, g.stride, g.offsets)
+    offsets = tuple(g_stride * (v // g_modulus) + g_offsets[v % g_modulus]
+                    for v in (f_stride * q + o for q in range(g_modulus) for o in f_offsets))
     keys = {src for (src, _) in f.patches} | {f.preimage(src) for (src, _) in g.patches}
     patches = tuple((k, v) for k in sorted(keys - {None})
                     if (v := g.apply(f.apply(k))) != stride * (k // m) + offsets[k % m])
@@ -310,10 +381,11 @@ def baer_levi_witness() -> dict:
 # Exact prover for statements in linear integer arithmetic
 #
 # A statement is run on symbolic integers.  Each comparison the code makes
-# is a branch; a path is the list of choices taken, and each choice adds
-# one constraint row (c0, c1, ..., cn), meaning c0 + c1·v1 + ... >= 0.  The
-# statement holds when every path on which it returns False or raises
-# SemigroupError is infeasible, shown by Fourier-Motzkin elimination.
+# is a branch, unless it is constant or, over the naturals, fixed by signs;
+# a path is the list of choices taken, and each choice adds one constraint
+# row (c0, c1, ..., cn), meaning c0 + c1·v1 + ... >= 0.  The statement holds
+# when every path on which it returns False or raises SemigroupError is
+# infeasible, shown by Fourier-Motzkin elimination.
 
 _MAX_BRANCHES = 256  # the deepest path of a suite law takes 21
 
@@ -378,6 +450,7 @@ class _Path:
 
     def __init__(self, choices, nvars, naturals):
         self.choices, self.depth, self.known = choices, 0, {}
+        self.naturals = naturals
         units = [tuple(int(i == j) for j in range(nvars + 1)) for i in range(1, nvars + 1)]
         self.rows = list(units) if naturals else []
         self.variables = [_Linear(u, self) for u in units]
@@ -387,6 +460,11 @@ class _Path:
         terms = form.terms
         if not any(terms[1:]):
             return terms[0] >= 0
+        if self.naturals:  # signs alone decide it when every variable is >= 0
+            if terms[0] >= 0 and min(terms[1:]) >= 0:
+                return True
+            if terms[0] < 0 and max(terms[1:]) <= 0:
+                return False
         if terms in self.known:  # the code may repeat a comparison
             return self.known[terms]
         if self.depth == len(self.choices):

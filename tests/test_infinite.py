@@ -1,11 +1,13 @@
 """Bicyclic monoid, Bruck-Reilly extensions, integer order, Baer-Levi model."""
 
+import functools
 import itertools
+import math
 import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sgdsc import finite, infinite
 from sgdsc.infinite import APSet, BicyclicElement, BRElement, CoInjection
@@ -121,6 +123,15 @@ def test_prover_domains_and_integer_tightening():
     # the gcd rounds it to a - b - 1 >= 0
     assert infinite._proved(lambda a, b: not a + a == b + b + 1, 2, naturals=False)
     assert not infinite._proved(lambda a, b: not a + a == b + 1, 2, naturals=False)
+
+
+def test_prover_sign_shortcut_over_naturals():
+    # c0 >= 0 and every coefficient >= 0: True without a branch
+    assert infinite._proved(lambda a, b: a + b >= 0, 2)
+    # mixed signs still branch: a = b = 0 refutes a + b >= 1
+    assert not infinite._proved(lambda a, b: a + b >= 1, 2)
+    # c0 < 0 and every coefficient <= 0: False without a branch
+    assert infinite._proved(lambda a: not (-a - 1 >= 0), 1)
 
 
 def test_prover_caps_branches_per_path():
@@ -323,6 +334,80 @@ def test_apset_normal_form():
     assert s.sample(13) == [1, 3, 13]
 
 
+def _divisor_scan(modulus, residues):
+    """Least divisor d of modulus with residues + d = residues (test oracle)."""
+    return next(d for d in range(1, modulus + 1) if modulus % d == 0
+                and all((r + d) % modulus in residues for r in residues))
+
+
+def _oracle_apset(progressions, plus, minus):
+    """The normal form (modulus, residues, plus, minus) by expanding every
+    progression to the lcm and scanning its divisors (test oracle)."""
+    big = math.lcm(*(m for (m, _) in progressions))
+    classes = {x for (m, r) in progressions for x in range(r % m, big, m)}
+    modulus = _divisor_scan(big, classes)
+    residues = frozenset(r % modulus for r in classes)
+    return (modulus, residues,
+            frozenset(n for n in plus if n >= 0 and n % modulus not in residues
+                      and n not in minus),
+            frozenset(n for n in minus if n >= 0 and n % modulus in residues))
+
+
+def _oracle_member(nf, n):
+    modulus, residues, plus, minus = nf
+    if n % modulus in residues:
+        return n >= 0 and n not in minus
+    return n in plus
+
+
+def _oracle_intersect(a, b):
+    big = math.lcm(a[0], b[0])
+    a_classes, b_classes = ({r + k for r in s[1] for k in range(0, big, s[0])} for s in (a, b))
+    points = a[2] | a[3] | b[2] | b[3]
+    plus = {n for n in points if _oracle_member(a, n) and _oracle_member(b, n)}
+    return _oracle_apset([(big, r) for r in a_classes & b_classes], plus, points - plus)
+
+
+def _agrees(s, nf):
+    modulus, residues, plus, minus = nf
+    return (s.modulus, s.progressions, s.plus, s.minus) == \
+        (modulus, tuple((modulus, r) for r in sorted(residues)), plus, minus)
+
+
+_APSETS = st.tuples(st.lists(st.tuples(st.integers(1, 48), st.integers(-100, 100)), max_size=3),
+                    st.frozensets(st.integers(-20, 200), max_size=6),
+                    st.frozensets(st.integers(-20, 200), max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_APSETS, _APSETS)
+def test_apset_matches_frozenset_oracle(a_args, b_args):
+    assume(math.lcm(*(m for (m, _) in a_args[0] + b_args[0])) <= 5040)
+    sets = []
+    for args in (a_args, b_args):
+        s, nf = APSet(*args), _oracle_apset(*args)
+        assert _agrees(s, nf)
+        big = math.lcm(*(m for (m, _) in args[0]))
+        assert all(s.member(n) == _oracle_member(nf, n) for n in range(-2, 3 * big + 1))
+        assert infinite.apset_is_empty(s) == (not nf[1] and not nf[2])
+        assert s.is_infinite() == bool(nf[1])
+        sets.append((s, nf))
+    (a, a_nf), (b, b_nf) = sets
+    both, both_nf = infinite.apset_intersect(a, b), _oracle_intersect(a_nf, b_nf)
+    assert _agrees(both, both_nf)
+    assert infinite.apset_is_empty(both) == (not both_nf[1] and not both_nf[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 48), st.integers(1, 24), st.data())
+def test_least_period_matches_divisor_scan(width, copies, data):
+    pattern = data.draw(st.integers(0, (1 << width) - 1))
+    modulus = width * copies
+    mask = sum(pattern << (width * i) for i in range(copies))
+    residues = {r for r in range(modulus) if mask >> r & 1}
+    assert infinite._least_period(modulus, mask) == _divisor_scan(modulus, residues)
+
+
 def test_coinjection_identity():
     ident = infinite.co_identity()
     assert [ident.apply(k) for k in range(5)] == [0, 1, 2, 3, 4]
@@ -423,8 +508,22 @@ def test_baer_levi_rho_closed_under_products():
             checked += 1
 
 
+def test_deep_products_rho_membership():
+    # 10-map products of 5-map composites.  A composite's image complement
+    # contains that of its last map, and only f and h have disjoint
+    # complements, so with these last maps every pair lies in rho.
+    w = infinite.baer_levi_witness()
+    rho = w["rho_member"]
+    for specs in (("fghgh", "hgfgg", "ghfhf", "hhgfg"), ("hhfgf", "ggfhg", "fhggh", "gffhh")):
+        f1, g1, f2, g2 = (functools.reduce(infinite.co_compose, (w[n] for n in spec))
+                          for spec in specs)
+        f12, g12 = infinite.co_compose(f1, f2), infinite.co_compose(g1, g2)
+        assert (f12.modulus, f12.stride) == (3 ** 10, 4 ** 10)
+        assert (rho(f1, g1), rho(f2, g2), rho(f12, g12)) == (True, True, True)
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.sampled_from("fgh"), min_size=1, max_size=4))
+@given(st.lists(st.sampled_from("fgh"), min_size=1, max_size=6))
 def test_derived_complement_matches_image_scan(names):
     w = infinite.baer_levi_witness()
     comp = w[names[0]]
