@@ -59,8 +59,6 @@ def cmd_check(args) -> int:
     simple = finite.is_simple(s)
     ideal = finite.proper_ideal(s)
     add("simple", simple, None if simple else {"proper_ideal": sorted(ideal)})
-    cs = finite.is_completely_simple(s)
-    add("completely_simple", cs, None if cs else {"proper_ideal": sorted(ideal)})
     inv = finite.is_inverse(s)
     inv_witness = None
     if not inv:

@@ -40,14 +40,6 @@ class TooLarge(SemigroupError):
     pass
 
 
-class NotInverse(SemigroupError):
-    pass
-
-
-class NotACongruence(SemigroupError):
-    pass
-
-
 @dataclass(frozen=True)
 class FiniteSemigroup:
     order: int
@@ -202,7 +194,7 @@ def greedy_generators(rows: Sequence[Sequence[int]]) -> list[int]:
 
     Since the diagonal {(x, x)} is a copy of S, this is the orbit of
     ``_pair_orbit`` over the diagonal pairs, coded x*(n + 1); relations runs
-    the same orbit for diagonal closures and the closure test.
+    the same orbit for the closure test and the closed-set enumerator.
     """
     n = len(rows)
     codes, _ = _pair_orbit(rows, range(0, n * n, n + 1))
@@ -290,12 +282,6 @@ def from_json(text: str) -> FiniteSemigroup:
     return validate_cayley(order, obj["table"], obj.get("names"))
 
 
-def to_json(s: FiniteSemigroup) -> str:
-    return json.dumps(
-        {"order": s.order, "names": list(s.names), "table": [list(r) for r in s.table]},
-        sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # Green's relations
 
@@ -364,12 +350,12 @@ def _scc(succ: Sequence[Sequence[int]]) -> list[int]:
 
 
 class _UnionFind:
-    """Blocks of 0..order-1: the join of ``pairs`` and of later ``union`` calls."""
+    """Blocks of 0..order-1: the join of ``pairs``."""
 
-    def __init__(self, order: int, pairs: Iterable[tuple[int, int]] = ()):
+    def __init__(self, order: int, pairs: Iterable[tuple[int, int]]):
         self.parent = list(range(order))
         for (x, y) in pairs:
-            self.union(x, y)
+            self.parent[self.find(x)] = self.find(y)
 
     def find(self, a: int) -> int:
         parent = self.parent
@@ -377,12 +363,6 @@ class _UnionFind:
             parent[a] = parent[parent[a]]
             a = parent[a]
         return a
-
-    def union(self, a: int, b: int) -> bool:
-        """Join the blocks of a and b; False if they were one already."""
-        ra, rb = self.find(a), self.find(b)
-        self.parent[ra] = rb
-        return ra != rb
 
 
 def greens(s: FiniteSemigroup) -> GreensData:
@@ -416,13 +396,6 @@ def idempotents(s: FiniteSemigroup) -> frozenset[int]:
     return frozenset(e for e in range(s.order) if s.table[e][e] == e)
 
 
-def is_completely_simple(s: FiniteSemigroup) -> bool:
-    """Simple with a primitive idempotent, which for finite S is just simple:
-    some power of each element is idempotent, and finitely many idempotents
-    have a minimal one (Howie, Fundamentals of Semigroup Theory, ch. 3)."""
-    return is_simple(s)
-
-
 def inverses_of(s: FiniteSemigroup, x: int) -> list[int]:
     out = []
     for t in range(s.order):
@@ -442,93 +415,6 @@ def is_inverse(s: FiniteSemigroup) -> bool:
     es = idempotents(s)
     return all(sorted(cls[e] for e in es) == list(range(max(cls) + 1))
                for cls in (gd.r_class, gd.l_class))
-
-
-def natural_partial_order(s: FiniteSemigroup):
-    """Pair set {(x,y) : x = e·y for some idempotent e} on an inverse semigroup."""
-    if not is_inverse(s):
-        raise NotInverse("natural_partial_order requires an inverse semigroup")
-    from .relations import PairSet
-    es = idempotents(s)
-    # the diagonal is among these pairs: x = (x·x⁻¹)·x with x·x⁻¹ idempotent
-    return PairSet.from_pairs(s, [(s.table[e][y], y) for e in es for y in range(s.order)])
-
-
-# ---------------------------------------------------------------------------
-# Constructions
-
-@dataclass(frozen=True)
-class ReesSpec:
-    group: FiniteSemigroup
-    i_size: int
-    j_size: int
-    sandwich: tuple[tuple[int, ...], ...]  # j_size x i_size, group element indices
-
-    def __post_init__(self):
-        if not is_group(self.group):
-            raise SemigroupError("ReesSpec.group must be a group")
-        if self.i_size < 1 or self.j_size < 1:
-            raise SemigroupError("index sets must be non-empty")
-        if len(self.sandwich) != self.j_size or \
-                any(len(row) != self.i_size for row in self.sandwich):
-            raise SemigroupError("sandwich matrix dimensions must be J x I")
-        for row in self.sandwich:
-            for g in row:
-                if not (0 <= g < self.group.order):
-                    raise OutOfRange(g)
-
-
-def rees_matrix(spec: ReesSpec) -> FiniteSemigroup:
-    """Rees matrix semigroup on I x G x J: (i,g,j)(k,h,l) = (i, g·p[j][k]·h, l)."""
-    g = spec.group
-    elems = [(i, a, j) for i in range(spec.i_size)
-             for a in range(g.order) for j in range(spec.j_size)]
-    index = {e: k for k, e in enumerate(elems)}
-    n = len(elems)
-    table = [[0] * n for _ in range(n)]
-    for x, (i, a, j) in enumerate(elems):
-        for y, (k, b, l) in enumerate(elems):
-            mid = g.table[g.table[a][spec.sandwich[j][k]]][b]
-            table[x][y] = index[(i, mid, l)]
-    names = [f"({i},{g.names[a]},{j})" for (i, a, j) in elems]
-    return validate_cayley(n, table, names)
-
-
-def sandwich(s: FiniteSemigroup, a: int) -> FiniteSemigroup:
-    """Variant of S with multiplication x∘y = x·a·y."""
-    if not (0 <= a < s.order):
-        raise OutOfRange(a)
-    table = [[s.table[s.table[x][a]][y] for y in range(s.order)]
-             for x in range(s.order)]
-    return validate_cayley(s.order, table, [f"{nm}^{s.names[a]}" for nm in s.names])
-
-
-def quotient(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]]):
-    """Quotient by a congruence given as a set of pairs.
-
-    Returns (quotient semigroup, class map).  Raises NotACongruence if the
-    pair set is not an equivalence compatible with multiplication.
-    """
-    from .relations import PairSet, axiom_report
-    rel = PairSet.from_pairs(s, [*pairs, *((x, x) for x in range(s.order))])
-    rep = axiom_report(s, rel)
-    if not rep.is_symmetric:
-        raise NotACongruence("relation is not symmetric")
-    if not rep.is_transitive:
-        raise NotACongruence("relation is not transitive")
-    if not rep.is_subsemigroup:
-        raise NotACongruence("relation is not compatible")
-    # rel is an equivalence, so row x is the bitset of x's class, and
-    # numbering rows by first occurrence orders the classes by least member
-    class_of = list(_classes_from_keys(rel.rows))
-    m = max(class_of) + 1
-    classes: list[list[int]] = [[] for _ in range(m)]
-    for x, cid in enumerate(class_of):
-        classes[cid].append(x)
-    table = [[class_of[s.table[classes[a][0]][classes[b][0]]] for b in range(m)]
-             for a in range(m)]
-    names = ["{" + "|".join(s.names[x] for x in cls) + "}" for cls in classes]
-    return validate_cayley(m, table, names), class_of
 
 
 # ---------------------------------------------------------------------------
@@ -727,88 +613,16 @@ def count_semigroups(n: int) -> tuple[int, int]:
     return labeled, classes
 
 
-def relabel(s: FiniteSemigroup, perm: Sequence[int]) -> FiniteSemigroup:
-    """Apply the relabeling x -> perm[x]."""
-    n = s.order
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            table[perm[i]][perm[j]] = perm[s.table[i][j]]
-    names = [""] * n
-    for i in range(n):
-        names[perm[i]] = s.names[i]
-    return FiniteSemigroup(n, tuple(tuple(r) for r in table), tuple(names))
-
-
 # ---------------------------------------------------------------------------
-# Canned subjects
-
-def left_zero(n: int) -> FiniteSemigroup:
-    return validate_cayley(n, [[i] * n for i in range(n)],
-                           [chr(ord("x") + i) if n <= 3 else f"x{i}" for i in range(n)])
-
+# Canned subjects: the base monoids of the Byleen monoid and the Bruck-Reilly model
 
 def cyclic_group(n: int) -> FiniteSemigroup:
     return validate_cayley(n, [[(i + j) % n for j in range(n)] for i in range(n)],
                            [f"g{i}" for i in range(n)])
 
 
-def klein_four() -> FiniteSemigroup:
-    return validate_cayley(4, [[i ^ j for j in range(4)] for i in range(4)],
-                           ["1", "a", "b", "ab"])
-
-
-def min_semilattice() -> FiniteSemigroup:
-    return validate_cayley(2, [[0, 0], [0, 1]], ["0", "1"])
-
-
 def trivial_monoid() -> FiniteSemigroup:
     return validate_cayley(1, [[0]], ["1"])
-
-
-def direct_product(a: FiniteSemigroup, b: FiniteSemigroup) -> FiniteSemigroup:
-    elems = [(i, j) for i in range(a.order) for j in range(b.order)]
-    index = {e: k for k, e in enumerate(elems)}
-    table = [[index[(a.table[i][k], b.table[j][l])] for (k, l) in elems]
-             for (i, j) in elems]
-    names = [f"({a.names[i]},{b.names[j]})" for (i, j) in elems]
-    return validate_cayley(len(elems), table, names)
-
-
-def symmetric_group_3() -> FiniteSemigroup:
-    perms = list(itertools.permutations(range(3)))
-    index = {p: k for k, p in enumerate(perms)}
-    # compose left-to-right: (p*q)(x) = q(p(x))
-    table = [[index[tuple(q[p[x]] for x in range(3))] for q in perms] for p in perms]
-    names = ["".join(map(str, p)) for p in perms]
-    return validate_cayley(6, table, names)
-
-
-def generate_symmetric_inverse(n: int) -> FiniteSemigroup:
-    """Monoid of all partial injections on {1..n} under left-to-right composition."""
-    if n > 3:
-        raise TooLarge(f"symmetric inverse monoid capped at n=3, got {n}")
-    maps = []
-    for size in range(n + 1):
-        for dom in itertools.combinations(range(n), size):
-            for img in itertools.permutations(range(n), size):
-                maps.append(tuple(zip(dom, img)))
-    maps.sort(key=lambda m: (len(m), m))
-    index = {m: k for k, m in enumerate(maps)}
-
-    def compose(f, g):
-        # apply f first, then g (right-action convention)
-        gd = dict(g)
-        return tuple((d, gd[v]) for (d, v) in f if v in gd)
-
-    table = [[index[compose(f, g)] for g in maps] for f in maps]
-
-    def name(m):
-        if not m:
-            return "0"
-        return "(" + ",".join(f"{d + 1}->{v + 1}" for (d, v) in m) + ")"
-
-    return validate_cayley(len(maps), table, [name(m) for m in maps])
 
 
 @dataclass(frozen=True)

@@ -236,9 +236,6 @@ class APSet:
             return n not in self.minus
         return n in self.plus
 
-    def is_infinite(self) -> bool:
-        return self.mask != 0
-
     def sample(self, upto: int) -> list[int]:
         return [n for n in range(upto + 1) if self.member(n)]
 
@@ -323,10 +320,6 @@ class CoInjection:
                 return src
         k = self._piece_preimage(v)
         return None if any(src == k for (src, _) in self.patches) else k
-
-
-def co_identity() -> CoInjection:
-    return CoInjection(1, 1, (0,), ())
 
 
 def co_compose(f: CoInjection, g: CoInjection) -> CoInjection:

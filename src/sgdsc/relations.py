@@ -93,38 +93,6 @@ def _pair_set(s: FiniteSemigroup, mask: int) -> PairSet:
     return PairSet(s, tuple(mask >> p & (1 << n) - 1 for p in range(0, n * n, n)))
 
 
-def diagonal_closure(s: FiniteSemigroup, generators: Iterable[tuple[int, int]]) -> PairSet:
-    """Least subsemigroup of S x S containing the diagonal and the generators."""
-    n = s.order
-    codes = [x * n + y for (x, y) in PairSet.from_pairs(s, generators)]
-    return _pair_set(s, finite._pair_orbit(s.table, [*range(0, n * n, n + 1), *codes])[1])
-
-
-def congruence_generated(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]]) -> PairSet:
-    """Least congruence containing the pairs.
-
-    Union-find over the elements (Freese, "Computing congruences
-    efficiently"): each merge of x and y queues (xg, yg) and (gx, gy) for
-    every g in a generating set.  The merged pairs span the blocks, so the
-    blocks are closed under translation by generators, hence by all of S.
-    """
-    queue = list(PairSet.from_pairs(s, pairs))
-    t = s.table
-    n = s.order
-    gens = s._generators
-    blocks = finite._UnionFind(n)
-    while queue:
-        x, y = queue.pop()
-        if blocks.union(x, y):
-            for g in gens:
-                queue.append((t[x][g], t[y][g]))
-                queue.append((t[g][x], t[g][y]))
-    block = [0] * n
-    for x in range(n):
-        block[blocks.find(x)] |= 1 << x
-    return PairSet(s, tuple(block[blocks.find(x)] for x in range(n)))
-
-
 def axiom_report(s: FiniteSemigroup, rho: PairSet) -> AxiomReport:
     """Check the four congruence axioms independently, recording first violations.
 
@@ -172,10 +140,6 @@ def axiom_report(s: FiniteSemigroup, rho: PairSet) -> AxiomReport:
             break
 
     return AxiomReport(diag_ok, sub_ok, sym_ok, trans_ok, violations)
-
-
-def is_congruence(s: FiniteSemigroup, rho: PairSet) -> bool:
-    return axiom_report(s, rho).is_congruence
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +194,6 @@ def brute_force_is_dsc(s: FiniteSemigroup) -> tuple[bool, Optional[PairSet]]:
         if not (rep.is_symmetric and rep.is_transitive):
             return False, ps
     return True, None
-
-
-def count_diagonal_subsemigroups(s: FiniteSemigroup) -> int:
-    """Number of multiplication-closed supersets of the diagonal (order <= 4)."""
-    return sum(1 for _ in _closed_masks(s))
 
 
 def is_dsc_fast(s: FiniteSemigroup) -> bool:

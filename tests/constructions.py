@@ -1,0 +1,198 @@
+"""Semigroups and relations the tests build their inputs from.
+
+The library decides and certifies DSC for a table it is given; these
+constructions make the tables and relations the tests feed it.  This file is
+not collected by pytest (its name does not start with ``test_``); test files
+import it as ``import constructions``.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
+from sgdsc import finite, relations
+from sgdsc.finite import FiniteSemigroup, OutOfRange, SemigroupError, validate_cayley
+
+
+class NotInverse(SemigroupError):
+    pass
+
+
+class NotACongruence(SemigroupError):
+    pass
+
+
+def to_json(s: FiniteSemigroup) -> str:
+    return json.dumps(
+        {"order": s.order, "names": list(s.names), "table": [list(r) for r in s.table]},
+        sort_keys=True)
+
+
+def relabel(s: FiniteSemigroup, perm: Sequence[int]) -> FiniteSemigroup:
+    """Apply the relabeling x -> perm[x]."""
+    n = s.order
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            table[perm[i]][perm[j]] = perm[s.table[i][j]]
+    names = [""] * n
+    for i in range(n):
+        names[perm[i]] = s.names[i]
+    return FiniteSemigroup(n, tuple(tuple(r) for r in table), tuple(names))
+
+
+def natural_partial_order(s: FiniteSemigroup) -> relations.PairSet:
+    """Pair set {(x,y) : x = e·y for some idempotent e} on an inverse semigroup."""
+    if not finite.is_inverse(s):
+        raise NotInverse("natural_partial_order requires an inverse semigroup")
+    es = finite.idempotents(s)
+    # the diagonal is among these pairs: x = (x·x⁻¹)·x with x·x⁻¹ idempotent
+    return relations.PairSet.from_pairs(
+        s, [(s.table[e][y], y) for e in es for y in range(s.order)])
+
+
+def count_diagonal_subsemigroups(s: FiniteSemigroup) -> int:
+    """Number of multiplication-closed supersets of the diagonal (order <= 4)."""
+    return sum(1 for _ in relations._closed_masks(s))
+
+
+# ---------------------------------------------------------------------------
+# Constructions
+
+@dataclass(frozen=True)
+class ReesSpec:
+    group: FiniteSemigroup
+    i_size: int
+    j_size: int
+    sandwich: tuple[tuple[int, ...], ...]  # j_size x i_size, group element indices
+
+    def __post_init__(self):
+        if not finite.is_group(self.group):
+            raise SemigroupError("ReesSpec.group must be a group")
+        if self.i_size < 1 or self.j_size < 1:
+            raise SemigroupError("index sets must be non-empty")
+        if len(self.sandwich) != self.j_size or \
+                any(len(row) != self.i_size for row in self.sandwich):
+            raise SemigroupError("sandwich matrix dimensions must be J x I")
+        for row in self.sandwich:
+            for g in row:
+                if not (0 <= g < self.group.order):
+                    raise OutOfRange(g)
+
+
+def rees_matrix(spec: ReesSpec) -> FiniteSemigroup:
+    """Rees matrix semigroup on I x G x J: (i,g,j)(k,h,l) = (i, g·p[j][k]·h, l)."""
+    g = spec.group
+    elems = [(i, a, j) for i in range(spec.i_size)
+             for a in range(g.order) for j in range(spec.j_size)]
+    index = {e: k for k, e in enumerate(elems)}
+    n = len(elems)
+    table = [[0] * n for _ in range(n)]
+    for x, (i, a, j) in enumerate(elems):
+        for y, (k, b, l) in enumerate(elems):
+            mid = g.table[g.table[a][spec.sandwich[j][k]]][b]
+            table[x][y] = index[(i, mid, l)]
+    names = [f"({i},{g.names[a]},{j})" for (i, a, j) in elems]
+    return validate_cayley(n, table, names)
+
+
+def sandwich(s: FiniteSemigroup, a: int) -> FiniteSemigroup:
+    """Variant of S with multiplication x∘y = x·a·y."""
+    if not (0 <= a < s.order):
+        raise OutOfRange(a)
+    table = [[s.table[s.table[x][a]][y] for y in range(s.order)]
+             for x in range(s.order)]
+    return validate_cayley(s.order, table, [f"{nm}^{s.names[a]}" for nm in s.names])
+
+
+def quotient(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]]):
+    """Quotient by a congruence given as a set of pairs.
+
+    Returns (quotient semigroup, class map).  Raises NotACongruence if the
+    pair set is not an equivalence compatible with multiplication.
+    """
+    rel = relations.PairSet.from_pairs(s, [*pairs, *((x, x) for x in range(s.order))])
+    rep = relations.axiom_report(s, rel)
+    if not rep.is_symmetric:
+        raise NotACongruence("relation is not symmetric")
+    if not rep.is_transitive:
+        raise NotACongruence("relation is not transitive")
+    if not rep.is_subsemigroup:
+        raise NotACongruence("relation is not compatible")
+    # rel is an equivalence, so row x is the bitset of x's class, and
+    # numbering rows by first occurrence orders the classes by least member
+    ids: dict = {}
+    class_of = [ids.setdefault(row, len(ids)) for row in rel.rows]
+    m = len(ids)
+    classes: list[list[int]] = [[] for _ in range(m)]
+    for x, cid in enumerate(class_of):
+        classes[cid].append(x)
+    table = [[class_of[s.table[classes[a][0]][classes[b][0]]] for b in range(m)]
+             for a in range(m)]
+    names = ["{" + "|".join(s.names[x] for x in cls) + "}" for cls in classes]
+    return validate_cayley(m, table, names), class_of
+
+
+def direct_product(a: FiniteSemigroup, b: FiniteSemigroup) -> FiniteSemigroup:
+    elems = [(i, j) for i in range(a.order) for j in range(b.order)]
+    index = {e: k for k, e in enumerate(elems)}
+    table = [[index[(a.table[i][k], b.table[j][l])] for (k, l) in elems]
+             for (i, j) in elems]
+    names = [f"({a.names[i]},{b.names[j]})" for (i, j) in elems]
+    return validate_cayley(len(elems), table, names)
+
+
+# ---------------------------------------------------------------------------
+# Canned subjects
+
+def left_zero(n: int) -> FiniteSemigroup:
+    return validate_cayley(n, [[i] * n for i in range(n)],
+                           [chr(ord("x") + i) if n <= 3 else f"x{i}" for i in range(n)])
+
+
+def klein_four() -> FiniteSemigroup:
+    return validate_cayley(4, [[i ^ j for j in range(4)] for i in range(4)],
+                           ["1", "a", "b", "ab"])
+
+
+def min_semilattice() -> FiniteSemigroup:
+    return validate_cayley(2, [[0, 0], [0, 1]], ["0", "1"])
+
+
+def symmetric_group_3() -> FiniteSemigroup:
+    perms = list(itertools.permutations(range(3)))
+    index = {p: k for k, p in enumerate(perms)}
+    # compose left-to-right: (p*q)(x) = q(p(x))
+    table = [[index[tuple(q[p[x]] for x in range(3))] for q in perms] for p in perms]
+    names = ["".join(map(str, p)) for p in perms]
+    return validate_cayley(6, table, names)
+
+
+def generate_symmetric_inverse(n: int) -> FiniteSemigroup:
+    """Monoid of all partial injections on {1..n} under left-to-right composition."""
+    if n > 3:
+        raise finite.TooLarge(f"symmetric inverse monoid capped at n=3, got {n}")
+    maps = []
+    for size in range(n + 1):
+        for dom in itertools.combinations(range(n), size):
+            for img in itertools.permutations(range(n), size):
+                maps.append(tuple(zip(dom, img)))
+    maps.sort(key=lambda m: (len(m), m))
+    index = {m: k for k, m in enumerate(maps)}
+
+    def compose(f, g):
+        # apply f first, then g (right-action convention)
+        gd = dict(g)
+        return tuple((d, gd[v]) for (d, v) in f if v in gd)
+
+    table = [[index[compose(f, g)] for g in maps] for f in maps]
+
+    def name(m):
+        if not m:
+            return "0"
+        return "(" + ",".join(f"{d + 1}->{v + 1}" for (d, v) in m) + ")"
+
+    return validate_cayley(len(maps), table, [name(m) for m in maps])

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from sgdsc import byleen, finite
 from sgdsc.byleen import ALetter, BLetter, NormalForm, SElem
 
+import constructions
+
 
 @pytest.fixture(scope="module")
 def mat():
@@ -463,7 +465,7 @@ def test_trivial_base_monoid():
 
 def test_matrix_requires_monoid_base():
     with pytest.raises(finite.SemigroupError):
-        byleen.TwoTransitiveMatrix(finite.left_zero(2))
+        byleen.TwoTransitiveMatrix(constructions.left_zero(2))
 
 
 # -- certificate re-checks are explicit raises, so they also run under -O --

@@ -10,12 +10,14 @@ import pytest
 
 from sgdsc import byleen, cli, finite, relations
 
+import constructions
+
 
 @pytest.fixture()
 def table_file(tmp_path):
     def write(name, s):
         path = tmp_path / name
-        path.write_text(finite.to_json(s))
+        path.write_text(constructions.to_json(s))
         return str(path)
     return write
 
@@ -27,7 +29,7 @@ def run(capsys, argv):
 
 
 def test_check_left_zero(capsys, table_file):
-    path = table_file("lz.json", finite.left_zero(2))
+    path = table_file("lz.json", constructions.left_zero(2))
     code, out, _ = run(capsys, ["check", path, "--brute"])
     assert code == 0
     report = json.loads(out)
@@ -47,7 +49,7 @@ def test_check_c2(capsys, table_file):
 
 
 def test_check_strict_fails_on_non_group(capsys, table_file):
-    path = table_file("lz.json", finite.left_zero(2))
+    path = table_file("lz.json", constructions.left_zero(2))
     code, _, _ = run(capsys, ["check", path, "--strict"])
     assert code == 1
 
@@ -95,7 +97,7 @@ def test_check_rejects_malformed_table(capsys, tmp_path, doc):
 
 
 def test_check_failed_checks_carry_witnesses(capsys, table_file):
-    path = table_file("ms.json", finite.min_semilattice())
+    path = table_file("ms.json", constructions.min_semilattice())
     _, out, _ = run(capsys, ["check", path, "--brute"])
     for check in json.loads(out)["checks"]:
         if not check["pass"]:
@@ -103,7 +105,7 @@ def test_check_failed_checks_carry_witnesses(capsys, table_file):
 
 
 def test_check_deterministic(capsys, table_file):
-    path = table_file("lz.json", finite.left_zero(2))
+    path = table_file("lz.json", constructions.left_zero(2))
     _, out1, _ = run(capsys, ["check", path, "--brute"])
     _, out2, _ = run(capsys, ["check", path, "--brute"])
     assert out1 == out2
@@ -168,27 +170,27 @@ def large_table(tmp_path, monkeypatch):
 # sha256 of the stdout of `sg check <name>.json --brute` and `sg witness <name>.json`
 _LARGE_STDOUT = {
     ("C4xC4", "check"):
-        "2a362b7ff9ba6a4ae59f3bcf687e363343bda26b228432db0d1957af8f5fe431",
+        "77bbd98f6fe9e03ebf56ea3aa8fb1ca21fa138446e27a77ee164f3a31156630f",
     ("C4xC4", "witness"):
         "b9e0c7adf38e2d449c297ac090d7b60f85e8b21bdfcbccba8e861f6fb153b52e",
     ("rees-C4-2x2", "check"):
-        "2120b0fd41602e648fe7e90ef8fce74e7644fb708f5f2fd1e6f28a3df0a0fe05",
+        "2627291f0683130ee9b5786f1f476c567571abc43b985faec91ba931b9ba551c",
     ("rees-C4-2x2", "witness"):
         "8abb6632627c87dfe0de93a25733a4bc22f4d69e50d7a8e496aafa2a48fc6570",
     ("RZ4xC4", "check"):
-        "941e90f1fa40e0986c9950c97dff3e87433bd4d9287d85f4fb1ec1f338db8760",
+        "a0b67069367f0a6ac59aa9a9c6a9af951475516dd97edc09b106d514c48231a6",
     ("RZ4xC4", "witness"):
         "80f95955ce7b2703ca2f59a50ca0ae0b802bca6ff8913e9243c48adc916368ec",
     ("C16-zero", "check"):
-        "efd2a6943e091711482821d2e0b59b89ad2aef6488ba4c7c488dcfa25ea092a3",
+        "75fdacea465409bb8f125a52131fbbcd3faf482406fc0b669d9b85f7bfba2997",
     ("C16-zero", "witness"):
         "4aacbbfac6a6a83e19f6145d3d27fa9d2c1ec368e9b890180364c92b93ebca35",
     ("chain2xC8", "check"):
-        "174bbf43f5a43609f214afdfe549e60ad3abadeeb90871ccf42d9514cdac5870",
+        "b1050e3fd5edb3451da2bbf034285ed8d768697e706be3a481a21de527aa5280",
     ("chain2xC8", "witness"):
         "232cf1e231cd9c53e55080f3710416085299db51e6f3068626d71bfce30c0853",
     ("C255^1", "check"):
-        "bc89fc4484a6cae8ef1b5f9da29dd93663538719c5bdb3baef2efd1526d06b2b",
+        "a723a74e4f980f53582f6a96c55d1d413a6a8d0e6fcc1f77606a51e4304cffd9",
     ("C255^1", "witness"):
         "4458b92a41b937ef3a8027baa4f82c6e63e38c6380a741b78ca73c4eca5d8f1a",
 }
@@ -234,7 +236,7 @@ def test_check_and_witness_analyse_the_table_once(capsys, monkeypatch, large_tab
 
 
 def test_witness_subcommand(capsys, table_file):
-    path = table_file("ms.json", finite.min_semilattice())
+    path = table_file("ms.json", constructions.min_semilattice())
     code, out, _ = run(capsys, ["witness", path])
     assert code == 0
     doc = json.loads(out)["witness"]

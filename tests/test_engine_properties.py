@@ -3,10 +3,11 @@
 Each oracle below is the direct definition, written out here with no library
 calls: the n^3 associativity scan, principal ideals {x} ∪ xS ∪ Sx ∪ SxS, the
 four congruence axioms as double loops over the sorted pairs, closures as
-fixpoints of those loops, diagonal subsemigroups by scanning every subset
-of off-diagonal pairs, groups and inverse semigroups by their defining
-identities and inverses, complete simplicity by a minimal idempotent, and
-greedy generating sets by growing each subsemigroup to a fixpoint.
+fixpoints of those loops (the strategies build relations with them),
+diagonal subsemigroups by scanning every subset of off-diagonal pairs,
+groups and inverse semigroups by their defining identities and inverses,
+complete simplicity by a minimal idempotent, and greedy generating sets by
+growing each subsemigroup to a fixpoint.
 """
 
 import functools
@@ -15,6 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgdsc import finite, relations
+
+import constructions
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -191,11 +194,11 @@ def adjoin(s, zero):
 
 
 BASES = [finite.cyclic_group(k) for k in (1, 2, 3, 4)] + \
-    [finite.left_zero(k) for k in (1, 2, 3)] + \
+    [constructions.left_zero(k) for k in (1, 2, 3)] + \
     [table_semigroup([list(range(k))] * k) for k in (2, 3)] + \
     [table_semigroup([[min(i, j) for j in range(k)] for i in range(k)]) for k in (2, 3)] + \
     [table_semigroup([[0] * k for _ in range(k)]) for k in (2, 3)] + \
-    [finite.symmetric_group_3(), finite.generate_symmetric_inverse(2)]
+    [constructions.symmetric_group_3(), constructions.generate_symmetric_inverse(2)]
 
 
 @st.composite
@@ -203,7 +206,8 @@ def rees_matrices(draw):
     k, i_size, j_size = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     cells = st.lists(st.integers(0, k - 1), min_size=i_size, max_size=i_size).map(tuple)
     sandwich = tuple(draw(st.lists(cells, min_size=j_size, max_size=j_size)))
-    return finite.rees_matrix(finite.ReesSpec(finite.cyclic_group(k), i_size, j_size, sandwich))
+    spec = constructions.ReesSpec(finite.cyclic_group(k), i_size, j_size, sandwich)
+    return constructions.rees_matrix(spec)
 
 
 @st.composite
@@ -215,10 +219,10 @@ def semigroups(draw, max_order=24):
         if op == "product":
             other = draw(st.sampled_from(BASES))
             if s.order * other.order <= max_order:
-                s = finite.direct_product(s, other)
+                s = constructions.direct_product(s, other)
         elif s.order < max_order:
             s = adjoin(s, zero=op == "zero")
-    return finite.relabel(s, draw(st.permutations(range(s.order))))
+    return constructions.relabel(s, draw(st.permutations(range(s.order))))
 
 
 @functools.cache
@@ -242,19 +246,11 @@ def constructed(draw):
     for _ in range(draw(st.integers(1, 2))):
         element = st.integers(0, s.order - 1)
         if draw(st.booleans()):
-            s = finite.sandwich(s, draw(element))
+            s = constructions.sandwich(s, draw(element))
         else:
             pairs = draw(st.sets(st.tuples(element, element), max_size=3))
-            s, _ = finite.quotient(s, frozenset(relations.congruence_generated(s, pairs)))
+            s, _ = constructions.quotient(s, congruence_oracle(s, pairs))
     return s
-
-
-@st.composite
-def with_pairs(draw):
-    """A semigroup of order <= 8 and up to four pairs on it."""
-    s = draw(semigroups(max_order=8))
-    pair = st.tuples(st.integers(0, s.order - 1), st.integers(0, s.order - 1))
-    return s, draw(st.sets(pair, max_size=4))
 
 
 @st.composite
@@ -282,9 +278,9 @@ def pairs_on(draw):
     elif kind == "with-diagonal":
         pairs = some | {(x, x) for x in range(n)}
     elif kind == "closure":
-        pairs = frozenset(relations.diagonal_closure(s, some))
+        pairs = frozenset(closure_oracle(s, some))
     else:
-        pairs = frozenset(relations.congruence_generated(s, set(list(some)[:2])))
+        pairs = frozenset(congruence_oracle(s, set(list(some)[:2])))
     return s, pairs
 
 
@@ -401,7 +397,7 @@ def test_constructed_semigroups_match_oracles(s):
     assert finite.proper_ideal(s) == smallest_proper_ideal(s)
     assert finite.is_group(s) == group_oracle(s)
     assert finite.is_inverse(s) == inverse_oracle(s)
-    assert finite.is_completely_simple(s) == completely_simple_oracle(s)
+    assert finite.is_simple(s) == completely_simple_oracle(s)
     if not group_oracle(s):
         ps, failing, _ = relations.witness_non_dsc(s)
         flags, _ = axiom_oracle(s, frozenset(ps))
@@ -421,14 +417,17 @@ def test_is_inverse_and_is_group_match_definitions_orders_1_to_4():
         assert finite.is_group(s) == group_oracle(s)
 
 
-def test_is_completely_simple_matches_definition_orders_1_to_4():
+# a finite simple semigroup is completely simple: some power of each element
+# is idempotent, and finitely many idempotents have a minimal one (Howie,
+# Fundamentals of Semigroup Theory, ch. 3)
+def test_is_simple_matches_completely_simple_definition_orders_1_to_4():
     for s in tables_up_to_4():
-        assert finite.is_completely_simple(s) == completely_simple_oracle(s)
+        assert finite.is_simple(s) == completely_simple_oracle(s)
 
 
 def check_subset_scan(s):
     closed = list(diagonal_subsemigroups(s))
-    assert relations.count_diagonal_subsemigroups(s) == len(closed)
+    assert constructions.count_diagonal_subsemigroups(s) == len(closed)
     first = next((rho for rho in closed if not is_equivalence(rho)), None)
     ok, witness = relations.brute_force_is_dsc(s)
     assert ok == (first is None)
@@ -448,20 +447,6 @@ def test_closed_set_enumerator_matches_subset_scan_order_4(s):
     check_subset_scan(s)
 
 
-@settings(max_examples=100, deadline=None)
-@given(with_pairs())
-def test_diagonal_closure_matches_frontier_loop(subject_pairs):
-    s, pairs = subject_pairs
-    assert frozenset(relations.diagonal_closure(s, pairs)) == closure_oracle(s, pairs)
-
-
-@settings(max_examples=100, deadline=None)
-@given(with_pairs())
-def test_congruence_generated_matches_fixpoint(subject_pairs):
-    s, pairs = subject_pairs
-    assert frozenset(relations.congruence_generated(s, pairs)) == congruence_oracle(s, pairs)
-
-
 # each relation also fails every axiom checked after the one named
 @pytest.mark.parametrize("pairs, message", [
     ([(0, 1), (1, 2)], "relation is not symmetric"),
@@ -469,5 +454,5 @@ def test_congruence_generated_matches_fixpoint(subject_pairs):
     ([(0, 1), (1, 0)], "relation is not compatible"),
 ], ids=["symmetric", "transitive", "compatible"])
 def test_quotient_names_the_failing_axiom(pairs, message):
-    with pytest.raises(finite.NotACongruence, match=message):
-        finite.quotient(finite.cyclic_group(3), pairs)
+    with pytest.raises(constructions.NotACongruence, match=message):
+        constructions.quotient(finite.cyclic_group(3), pairs)

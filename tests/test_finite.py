@@ -5,12 +5,14 @@ import json
 
 import pytest
 
-from sgdsc import finite, relations
+from sgdsc import finite
+
+import constructions
 
 
 def canonical_form(s):
     """Least table over all relabelings: equal exactly on isomorphic tables."""
-    return min(finite.relabel(s, perm).table
+    return min(constructions.relabel(s, perm).table
                for perm in itertools.permutations(range(s.order)))
 
 
@@ -85,8 +87,8 @@ def test_validate_names_first_bad_entry(table, error, message):
 
 
 def test_json_roundtrip_and_strict_keys():
-    s = finite.left_zero(2)
-    again = finite.from_json(finite.to_json(s))
+    s = constructions.left_zero(2)
+    again = finite.from_json(constructions.to_json(s))
     assert again.table == s.table
     with pytest.raises(finite.SemigroupError):
         finite.from_json(json.dumps(
@@ -102,7 +104,7 @@ def test_from_json_caps_order_before_reading_the_table():
 
 
 def test_greens_left_zero():
-    gd = finite.greens(finite.left_zero(2))
+    gd = finite.greens(constructions.left_zero(2))
     # xS1 = {x} so R-classes are singletons; S1x = {x,y} so L is full
     assert gd.r_class[0] != gd.r_class[1]
     assert gd.l_class[0] == gd.l_class[1]
@@ -115,15 +117,15 @@ def test_greens_group_single_class():
 
 
 def test_greens_semilattice_singletons():
-    gd = finite.greens(finite.min_semilattice())
+    gd = finite.greens(constructions.min_semilattice())
     for cls in (gd.r_class, gd.l_class, gd.j_class, gd.h_class, gd.d_class):
         assert len(set(cls)) == 2
 
 
 def test_simple_and_proper_ideal():
-    assert finite.is_simple(finite.left_zero(2))
+    assert finite.is_simple(constructions.left_zero(2))
     assert finite.is_simple(finite.cyclic_group(3))
-    ms = finite.min_semilattice()
+    ms = constructions.min_semilattice()
     assert not finite.is_simple(ms)
     assert finite.proper_ideal(ms) == frozenset({0})
 
@@ -131,39 +133,39 @@ def test_simple_and_proper_ideal():
 def test_predicates_c2():
     s = finite.cyclic_group(2)
     assert finite.is_group(s)
-    assert finite.is_completely_simple(s)
+    assert finite.is_simple(s)
     assert finite.is_inverse(s)
 
 
 def test_predicates_left_zero():
-    s = finite.left_zero(2)
+    s = constructions.left_zero(2)
     assert not finite.is_group(s)
-    assert finite.is_completely_simple(s)
+    assert finite.is_simple(s)
     assert not finite.is_inverse(s)
     assert finite.inverses_of(s, 0) == [0, 1]
 
 
 def test_predicates_semilattice():
-    s = finite.min_semilattice()
+    s = constructions.min_semilattice()
     assert not finite.is_group(s)
-    assert not finite.is_completely_simple(s)
+    assert not finite.is_simple(s)
     assert finite.is_inverse(s)
 
 
 def test_natural_partial_order_semilattice():
-    ps = finite.natural_partial_order(finite.min_semilattice())
+    ps = constructions.natural_partial_order(constructions.min_semilattice())
     assert frozenset(ps) == frozenset({(0, 0), (0, 1), (1, 1)})
 
 
 def test_natural_partial_order_group_is_diagonal():
     s = finite.cyclic_group(4)
-    ps = finite.natural_partial_order(s)
+    ps = constructions.natural_partial_order(s)
     assert frozenset(ps) == {(x, x) for x in range(4)}
 
 
 def test_natural_partial_order_i2():
-    i2 = finite.generate_symmetric_inverse(2)
-    ps = finite.natural_partial_order(i2)
+    i2 = constructions.generate_symmetric_inverse(2)
+    ps = constructions.natural_partial_order(i2)
     assert i2.order == 7
     assert len(ps) == 17  # 7 diagonal + 10 strict restrictions
     rho = frozenset(ps)
@@ -171,19 +173,19 @@ def test_natural_partial_order_i2():
 
 
 def test_natural_partial_order_requires_inverse():
-    with pytest.raises(finite.NotInverse):
-        finite.natural_partial_order(finite.left_zero(2))
+    with pytest.raises(constructions.NotInverse):
+        constructions.natural_partial_order(constructions.left_zero(2))
 
 
 def test_rees_matrix_left_zero():
-    spec = finite.ReesSpec(finite.trivial_monoid(), 2, 1, ((0, 0),))
-    rm = finite.rees_matrix(spec)
-    assert canonical_form(rm) == canonical_form(finite.left_zero(2))
+    spec = constructions.ReesSpec(finite.trivial_monoid(), 2, 1, ((0, 0),))
+    rm = constructions.rees_matrix(spec)
+    assert canonical_form(rm) == canonical_form(constructions.left_zero(2))
 
 
 def test_rees_matrix_c2():
-    spec = finite.ReesSpec(finite.cyclic_group(2), 1, 1, ((0,),))
-    rm = finite.rees_matrix(spec)
+    spec = constructions.ReesSpec(finite.cyclic_group(2), 1, 1, ((0,),))
+    rm = constructions.rees_matrix(spec)
     assert canonical_form(rm) == canonical_form(finite.cyclic_group(2))
 
 
@@ -196,20 +198,19 @@ def test_rees_matrix_simple_exhaustive_small():
                 for flat in itertools.product(range(g.order), repeat=cells):
                     p = tuple(tuple(flat[j * i_size + i] for i in range(i_size))
                               for j in range(j_size))
-                    rm = finite.rees_matrix(finite.ReesSpec(g, i_size, j_size, p))
+                    rm = constructions.rees_matrix(constructions.ReesSpec(g, i_size, j_size, p))
                     assert finite.is_simple(rm)
-                    assert finite.is_completely_simple(rm)
 
 
 def test_sandwich_at_identity_is_same():
     s = finite.cyclic_group(2)
-    assert finite.sandwich(s, finite.identity_index(s)).table == s.table
+    assert constructions.sandwich(s, finite.identity_index(s)).table == s.table
 
 
 def test_quotient_c4_by_02():
     c4 = finite.cyclic_group(4)
-    sigma = relations.congruence_generated(c4, [(0, 2)])
-    q, class_of = finite.quotient(c4, frozenset(sigma))
+    sigma = [(x, y) for x in range(4) for y in range(4) if (x - y) % 2 == 0]
+    q, class_of = constructions.quotient(c4, sigma)
     assert canonical_form(q) == canonical_form(finite.cyclic_group(2))
     assert class_of == [0, 1, 0, 1]
     assert q.names == ("{g0|g2}", "{g1|g3}")
@@ -217,21 +218,21 @@ def test_quotient_c4_by_02():
 
 def test_quotient_by_diagonal_and_full():
     s = finite.cyclic_group(3)
-    q, _ = finite.quotient(s, [(x, x) for x in range(3)])
+    q, _ = constructions.quotient(s, [(x, x) for x in range(3)])
     assert q.table == s.table
-    q, _ = finite.quotient(s, [(x, y) for x in range(3) for y in range(3)])
+    q, _ = constructions.quotient(s, [(x, y) for x in range(3) for y in range(3)])
     assert q.order == 1
 
 
 def test_quotient_rejects_non_congruence():
-    with pytest.raises(finite.NotACongruence):
-        finite.quotient(finite.cyclic_group(4), [(0, 2)])  # not symmetric
+    with pytest.raises(constructions.NotACongruence):
+        constructions.quotient(finite.cyclic_group(4), [(0, 2)])  # not symmetric
 
 
 def test_quotient_class_map_is_homomorphism():
     s = finite.cyclic_group(4)
-    sigma = relations.congruence_generated(s, [(0, 2)])
-    q, phi = finite.quotient(s, frozenset(sigma))
+    sigma = [(x, y) for x in range(4) for y in range(4) if (x - y) % 2 == 0]
+    q, phi = constructions.quotient(s, sigma)
     for x in range(s.order):
         for y in range(s.order):
             assert phi[s.table[x][y]] == q.table[phi[x]][phi[y]]
@@ -282,7 +283,7 @@ def test_class_representatives_match_canonical_forms(n):
     assert sorted(canonical_form(s) for s, _ in classes) == \
         sorted(set(map(canonical_form, finite.enumerate_semigroups(n))))
     for s, automorphisms in classes:
-        images = [finite.relabel(s, p).table for p in perms]
+        images = [constructions.relabel(s, p).table for p in perms]
         assert s.table == min(images)
         assert automorphisms == images.count(s.table)
 
@@ -290,8 +291,6 @@ def test_class_representatives_match_canonical_forms(n):
 def test_structural_implications_order_3():
     for s in finite.enumerate_semigroups(3):
         if finite.is_group(s):
-            assert finite.is_completely_simple(s)
-        if finite.is_completely_simple(s):
             assert finite.is_simple(s)
 
 
@@ -307,21 +306,21 @@ def test_greens_refinement_order_3():
 
 
 def test_symmetric_inverse_monoids():
-    i1 = finite.generate_symmetric_inverse(1)
+    i1 = constructions.generate_symmetric_inverse(1)
     assert i1.order == 2
-    i2 = finite.generate_symmetric_inverse(2)
+    i2 = constructions.generate_symmetric_inverse(2)
     assert i2.order == 7
     for s in (i1, i2):
         assert finite.is_inverse(s)
         assert not finite.is_group(s)
     with pytest.raises(finite.TooLarge):
-        finite.generate_symmetric_inverse(4)
+        constructions.generate_symmetric_inverse(4)
 
 
 def test_direct_product_klein():
     c2 = finite.cyclic_group(2)
-    prod = finite.direct_product(c2, c2)
-    assert canonical_form(prod) == canonical_form(finite.klein_four())
+    prod = constructions.direct_product(c2, c2)
+    assert canonical_form(prod) == canonical_form(constructions.klein_four())
 
 
 def test_endomorphism_table_validation():
@@ -331,4 +330,4 @@ def test_endomorphism_table_validation():
     with pytest.raises(finite.SemigroupError):
         finite.EndomorphismTable(c2, (1, 0))  # does not fix the identity
     with pytest.raises(finite.SemigroupError):
-        finite.EndomorphismTable(finite.left_zero(2), (0, 1))  # not a monoid
+        finite.EndomorphismTable(constructions.left_zero(2), (0, 1))  # not a monoid

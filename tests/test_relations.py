@@ -1,37 +1,10 @@
-"""Pair-set closures, congruence axioms, DSC decisions and witnesses."""
-
-import random
+"""Pair sets, congruence axioms, DSC decisions and witnesses."""
 
 import pytest
 
 from sgdsc import finite, relations
 
-
-def test_diagonal_closure_left_zero_example():
-    lz = finite.left_zero(2)
-    ps = relations.diagonal_closure(lz, {(0, 1)})
-    assert frozenset(ps) == frozenset({(0, 0), (0, 1), (1, 1)})
-
-
-def test_diagonal_closure_c2_generates_everything():
-    c2 = finite.cyclic_group(2)
-    ps = relations.diagonal_closure(c2, {(0, 1)})
-    assert len(ps) == 4
-
-
-def test_diagonal_closure_empty_is_diagonal():
-    s = finite.cyclic_group(3)
-    assert frozenset(relations.diagonal_closure(s, set())) == {(x, x) for x in range(3)}
-
-
-def test_diagonal_closure_always_closed():
-    rng = random.Random(2)
-    for s in (finite.left_zero(3), finite.min_semilattice(), finite.cyclic_group(4)):
-        for _ in range(10):
-            gens = {(rng.randrange(s.order), rng.randrange(s.order))
-                    for _ in range(rng.randint(0, 3))}
-            rep = relations.axiom_report(s, relations.diagonal_closure(s, gens))
-            assert rep.contains_diagonal and rep.is_subsemigroup
+import constructions
 
 
 def test_axiom_report_multiplies_reached_pairs_by_later_generators():
@@ -62,7 +35,7 @@ def test_axiom_report_rejects_a_relation_on_another_order(built_on, checked_on):
 
 
 def test_axiom_report_left_zero_example():
-    lz = finite.left_zero(2)
+    lz = constructions.left_zero(2)
     ps = relations.PairSet.from_pairs(lz, {(0, 0), (0, 1), (1, 1)})
     rep = relations.axiom_report(lz, ps)
     assert rep.is_subsemigroup and not rep.is_symmetric
@@ -70,39 +43,8 @@ def test_axiom_report_left_zero_example():
     assert not rep.is_congruence
 
 
-def test_congruence_generated_c4():
-    c4 = finite.cyclic_group(4)
-    ps = relations.congruence_generated(c4, [(0, 2)])
-    assert frozenset(ps) == frozenset(
-        {(x, y) for x in range(4) for y in range(4) if (x - y) % 2 == 0})
-
-
-def test_congruence_generated_left_zero_full():
-    lz = finite.left_zero(2)
-    assert len(relations.congruence_generated(lz, [(0, 1)])) == 4
-
-
-def test_congruence_contains_diagonal_closure():
-    rng = random.Random(3)
-    for s in (finite.left_zero(2), finite.cyclic_group(4), finite.min_semilattice()):
-        for _ in range(10):
-            gens = {(rng.randrange(s.order), rng.randrange(s.order))
-                    for _ in range(rng.randint(0, 3))}
-            assert frozenset(relations.diagonal_closure(s, gens)) <= \
-                frozenset(relations.congruence_generated(s, gens))
-
-
-@pytest.mark.parametrize("pair", [(-1, 0), (2, 0)], ids=["negative", "too-large"])
-@pytest.mark.parametrize("close", [relations.diagonal_closure, relations.congruence_generated],
-                         ids=["diagonal_closure", "congruence_generated"])
-def test_closures_reject_out_of_range_pairs(close, pair):
-    with pytest.raises(finite.OutOfRange) as exc:
-        close(finite.cyclic_group(2), [pair])
-    assert exc.value.entry == pair
-
-
 def test_brute_force_left_zero():
-    ok, witness = relations.brute_force_is_dsc(finite.left_zero(2))
+    ok, witness = relations.brute_force_is_dsc(constructions.left_zero(2))
     assert not ok
     assert frozenset(witness) == frozenset({(0, 0), (0, 1), (1, 1)})
 
@@ -112,7 +54,7 @@ def test_brute_force_c2():
 
 
 def test_brute_force_semilattice():
-    ok, witness = relations.brute_force_is_dsc(finite.min_semilattice())
+    ok, witness = relations.brute_force_is_dsc(constructions.min_semilattice())
     assert not ok
     assert (0, 1) in frozenset(witness) and (1, 0) not in frozenset(witness)
 
@@ -140,38 +82,38 @@ def test_brute_force_agrees_with_is_dsc_fast_on_order_4():
 
 def test_is_dsc_fast():
     assert relations.is_dsc_fast(finite.cyclic_group(6))
-    assert not relations.is_dsc_fast(finite.left_zero(2))
-    assert not relations.is_dsc_fast(finite.generate_symmetric_inverse(2))
+    assert not relations.is_dsc_fast(constructions.left_zero(2))
+    assert not relations.is_dsc_fast(constructions.generate_symmetric_inverse(2))
 
 
 def test_witness_ideal_strategy():
-    ps, failing, strategy = relations.witness_non_dsc(finite.min_semilattice())
+    ps, failing, strategy = relations.witness_non_dsc(constructions.min_semilattice())
     assert strategy == "ideal"
     assert failing == (0, 1)
     assert frozenset(ps) == frozenset({(0, 0), (0, 1), (1, 1)})
 
 
 def test_witness_rees_r_strategy():
-    ps, failing, strategy = relations.witness_non_dsc(finite.left_zero(2))
+    ps, failing, strategy = relations.witness_non_dsc(constructions.left_zero(2))
     assert strategy == "rees-R"
     assert failing == (0, 1)
     assert frozenset(ps) == frozenset({(0, 0), (0, 1), (1, 1)})
 
 
 def test_witness_rees_l_strategy():
-    spec = finite.ReesSpec(finite.cyclic_group(2), 1, 2, ((0,), (0,)))
-    ps, failing, strategy = relations.witness_non_dsc(finite.rees_matrix(spec))
+    spec = constructions.ReesSpec(finite.cyclic_group(2), 1, 2, ((0,), (0,)))
+    ps, failing, strategy = relations.witness_non_dsc(constructions.rees_matrix(spec))
     assert strategy == "rees-L"
     assert (failing[1], failing[0]) not in frozenset(ps)
 
 
 def test_witness_rejects_groups():
     with pytest.raises(relations.IsGroup):
-        relations.witness_non_dsc(finite.klein_four())
+        relations.witness_non_dsc(constructions.klein_four())
 
 
 def test_witness_json_shape():
-    ps, failing, strategy = relations.witness_non_dsc(finite.left_zero(2))
+    ps, failing, strategy = relations.witness_non_dsc(constructions.left_zero(2))
     doc = relations.witness_json(ps, failing, strategy)
     assert set(doc) == {"strategy", "pairs", "failing_pair", "axioms"}
     assert doc["failing_pair"] == [0, 1]
@@ -181,11 +123,11 @@ def test_witness_json_shape():
 def test_natural_order_inversion_and_multiplication_closure():
     # on finite inverse semigroups the natural order is a diagonal
     # subsemigroup closed under inversion, and symmetric only for groups
-    subjects = [finite.min_semilattice(), finite.generate_symmetric_inverse(1),
-                finite.generate_symmetric_inverse(2), finite.cyclic_group(2),
+    subjects = [constructions.min_semilattice(), constructions.generate_symmetric_inverse(1),
+                constructions.generate_symmetric_inverse(2), finite.cyclic_group(2),
                 finite.cyclic_group(4)]
     for s in subjects:
-        ps = finite.natural_partial_order(s)
+        ps = constructions.natural_partial_order(s)
         rep = relations.axiom_report(s, ps)
         assert rep.contains_diagonal and rep.is_subsemigroup
         inv = {x: finite.inverses_of(s, x)[0] for x in range(s.order)}
@@ -195,10 +137,10 @@ def test_natural_order_inversion_and_multiplication_closure():
 
 
 def test_count_diagonal_subsemigroups_goldens():
-    assert relations.count_diagonal_subsemigroups(finite.cyclic_group(2)) == 2
-    assert relations.count_diagonal_subsemigroups(finite.cyclic_group(3)) == 2
-    assert relations.count_diagonal_subsemigroups(finite.cyclic_group(4)) == 3
-    assert relations.count_diagonal_subsemigroups(finite.klein_four()) == 5
+    assert constructions.count_diagonal_subsemigroups(finite.cyclic_group(2)) == 2
+    assert constructions.count_diagonal_subsemigroups(finite.cyclic_group(3)) == 2
+    assert constructions.count_diagonal_subsemigroups(finite.cyclic_group(4)) == 3
+    assert constructions.count_diagonal_subsemigroups(constructions.klein_four()) == 5
 
 
 def test_pair_set_range_check():
@@ -223,5 +165,5 @@ def test_pairs_must_be_two_ints_in_range(entry, pair, error):
         if entry == "from_pairs":
             relations.PairSet.from_pairs(s, [pair])
         else:
-            finite.quotient(s, [pair])
+            constructions.quotient(s, [pair])
     assert exc.type is error

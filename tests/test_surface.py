@@ -1,0 +1,99 @@
+"""The library's public surface is what the DSC system runs.
+
+Every public top-level function and class of ``src/sgdsc`` must be referenced
+by the library's own code (outside its definition) or by a ``bench/*.py``
+file as ``<module>.<name>``.  Constructions only the tests need live in
+``tests/constructions.py``.  The scan reads source with ``ast``; it imports
+nothing.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIB = ROOT / "src" / "sgdsc"
+
+# Definitions with no caller the scan can see, each with its reason.
+ALLOWED = {
+    "byleen.express_pair": "the Byleen monoid's DSC certificate: any pair (p, q) "
+                           "as a product of (g, h) and diagonal pairs",
+}
+# cli's subcommand handlers are looked up by name in globals() at dispatch
+DISPATCHED_PREFIX = "cli.cmd_"
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(LIB.glob("*.py")) if path.stem != "__init__"}
+
+
+def _public_definitions(modules):
+    for mod, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                yield mod, node
+
+
+def _nodes_outside(tree, skip):
+    """Every node of ``tree`` except those inside the definition ``skip``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _qualified(node):
+    """``mod.name`` for an attribute read off a bare name, else None."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return f"{node.value.id}.{node.attr}"
+    return None
+
+
+def _library_refers(modules, mod, definition):
+    name = definition.name
+    for other, tree in modules.items():
+        for node in _nodes_outside(tree, definition):
+            if other == mod and isinstance(node, ast.Name) and node.id == name \
+                    and isinstance(node.ctx, ast.Load):
+                return True
+            if _qualified(node) == f"{mod}.{name}":
+                return True
+            if isinstance(node, ast.ImportFrom) and node.module == mod and node.level == 1 \
+                    and any(alias.name == name for alias in node.names):
+                return True
+    return False
+
+
+def _bench_references():
+    refs = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            ref = _qualified(node)
+            if ref is not None:
+                refs.add(ref)
+    return refs
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    modules = _modules()
+    bench = _bench_references()
+    unused = sorted(
+        f"{mod}.{node.name}" for mod, node in _public_definitions(modules)
+        if f"{mod}.{node.name}" not in bench
+        and not _library_refers(modules, mod, node)
+        and not f"{mod}.{node.name}".startswith(DISPATCHED_PREFIX))
+    assert unused == sorted(ALLOWED)
+
+
+def test_finite_imports_nothing_from_relations():
+    tree = ast.parse((LIB / "finite.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module not in ("relations", "sgdsc.relations")
+            assert not any(alias.name == "relations" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.endswith("relations") for alias in node.names)
