@@ -79,7 +79,11 @@ Letter = Union[ALetter, BLetter, SElem]
 # δ(c1) f [δ(c2)] δ(skip): each component in the Elias-delta code δ, and a
 # flag bit f that is 1 when c2 == c1, in which case δ(c2) is left out.  The
 # code is prefix-free and the decoder accepts only the canonical string, so
-# requirements and stages correspond one to one.
+# requirements and stages correspond one to one.  Both directions work on
+# ints: a codeword is a (value, width) pair, its bits being value's padded
+# with leading zeros to width, shifted onto the stage by the encoder and
+# read off it with bit_length, shifts and masks by the decoder.  A matrix
+# decodes each letter index at most once and keeps the result.
 #
 # δ(x) takes at least bitlen(x+1) bits, and the leading 1, the flag and the
 # other fields at least eight more, so the stage exceeds every component and
@@ -92,56 +96,65 @@ Letter = Union[ALetter, BLetter, SElem]
 # Writing that colour twice at full length, without the flag, would double
 # the index length at every step.
 
-def _gamma(x: int) -> str:
-    b = bin(x + 1)[2:]
-    return "0" * (len(b) - 1) + b
-
-
-def _delta(x: int) -> str:
-    b = bin(x + 1)[2:]
-    return _gamma(len(b) - 1) + b[1:]
+def _delta(x: int) -> tuple[int, int]:
+    """δ(x) for x >= 0 as (value, width): the Elias-gamma code of L, then
+    the L-1 bits of x+1 below its leading 1, where L = bitlen(x+1)."""
+    n = x + 1
+    k = n.bit_length()
+    return k << (k - 1) | n ^ (1 << (k - 1)), 2 * k.bit_length() + k - 2
 
 
 def _encode(parts: Sequence[int]) -> int:
     kind, n1, s1, n2, s2, c1, c2, skip = parts
-    head = "".join(_delta(x) for x in (kind, n1, s1, n2, s2, c1))
-    colour2 = "1" if c2 == c1 else "0" + _delta(c2)
-    return int("1" + head + colour2 + _delta(skip), 2)
+    t = 1
+    for x in (kind, n1, s1, n2, s2, c1):
+        value, width = _delta(x)
+        t = t << width | value
+    if c2 == c1:
+        t = t << 1 | 1
+    else:
+        value, width = _delta(c2)
+        t = t << width + 1 | value
+    value, width = _delta(skip)
+    return t << width | value
 
 
-def _delta_at(bits: str, pos: int) -> tuple[int, int]:
-    """The δ codeword starting at bits[pos] as (value, end); end -1 if cut short."""
-    one = bits.find("1", pos)
-    mid = 2 * one - pos + 1  # end of the gamma code of the payload length
-    if one < 0 or mid > len(bits):
+def _delta_at(r: int, rest: int) -> tuple[int, int]:
+    """The δ codeword atop r < 2^rest as (value, bits left below it); -1 left if cut short."""
+    size = r.bit_length()
+    lead = 2 * size - rest - 1  # bits below the gamma code of the payload length
+    if lead < 0:
         return 0, -1
-    end = mid + int(bits[one:mid], 2) - 1
-    if end > len(bits):
+    length = r >> lead
+    left = lead - length + 1
+    if left < 0:
         return 0, -1
-    return int("1" + bits[mid:end], 2) - 1, end
+    payload = r >> left ^ length << length - 1
+    return (payload | 1 << length - 1) - 1, left
 
 
 def _decode(t: int) -> Optional[tuple[int, ...]]:
     if t < 1:
         return None
-    bits = bin(t)[3:]
+    rest = t.bit_length() - 1
     out = []
-    pos = 0
     for _ in range(6):
-        x, pos = _delta_at(bits, pos)
-        if pos < 0:
+        x, rest = _delta_at(t & (1 << rest) - 1, rest)
+        if rest < 0:
             return None
         out.append(x)
-    if bits[pos:pos + 1] == "1":
+    if rest == 0:
+        return None
+    rest -= 1
+    if t >> rest & 1:
         out.append(out[5])
-        pos += 1
     else:
-        c2, pos = _delta_at(bits, pos + 1)
-        if pos < 0 or c2 == out[5]:
+        c2, rest = _delta_at(t & (1 << rest) - 1, rest)
+        if rest < 0 or c2 == out[5]:
             return None
         out.append(c2)
-    skip, pos = _delta_at(bits, pos)
-    if pos != len(bits):
+    skip, rest = _delta_at(t & (1 << rest) - 1, rest)
+    if rest != 0:
         return None
     out.append(skip)
     return tuple(out)
@@ -159,7 +172,10 @@ class TwoTransitiveMatrix:
             raise SemigroupError("base must be a monoid")
         self.base = base
         self.identity = e
-        self._memo: dict[tuple[int, int], Letter] = {}
+        self._memo: dict[tuple[int, int, int], Letter] = {}
+        # letter index -> decoded requirement or None, filled on lookup and never
+        # at mint time, so a fresh letter's re-check reads it through _decode
+        self._reqs: dict[int, Optional[tuple[int, ...]]] = {}
 
     # letter <-> index bookkeeping: S first, then A and B letters interleaved
     def w_index(self, w: Letter) -> int:
@@ -175,6 +191,11 @@ class TwoTransitiveMatrix:
         q, r = divmod(idx - k, 2)
         return (BLetter if r else ALetter)(*divmod(q, k))
 
+    def _requirement(self, n: int) -> Optional[tuple[int, ...]]:
+        if n not in self._reqs:
+            self._reqs[n] = _decode(n - 1)
+        return self._reqs[n]
+
     def entry(self, a: ALetter, b: BLetter) -> Letter:
         # p[a(n,x), b(k,y)] depends on (n, k, x*y) only, so that
         # p[a▷s, b] = p[a, s◁b] and the rewriting system is confluent.
@@ -184,14 +205,14 @@ class TwoTransitiveMatrix:
         if hit is not None:
             return hit
         val: Optional[Letter] = None
-        req = _decode(b.n - 1) if b.n >= 1 else None
+        req = self._requirement(b.n)
         if req is not None and req[0] == _COL and req[1:3] != req[3:5]:
             if (a.n, z) == req[1:3]:
                 val = self.w_letter(req[5])
             elif (a.n, z) == req[3:5]:
                 val = self.w_letter(req[6])
         if val is None:
-            req = _decode(a.n - 1) if a.n >= 1 else None
+            req = self._requirement(a.n)
             if req is not None and req[0] == _ROW and req[1:3] != req[3:5]:
                 if (b.n, z) == req[1:3]:
                     val = self.w_letter(req[5])
@@ -202,14 +223,26 @@ class TwoTransitiveMatrix:
         self._memo[key] = val
         return val
 
+    def _stage(self, kind: int, w1: Letter, w2: Letter, c1: Letter, c2: Letter,
+               skip: int) -> int:
+        """The stage of a requirement, once every component is checked to name a letter."""
+        k = self.base.order
+        for w in (w1, w2, c1, c2):
+            if not 0 <= w.s < k:
+                raise SemigroupError(f"{w} has a base element outside 0..{k - 1}")
+            if not isinstance(w, SElem) and w.n < 0:
+                raise SemigroupError(f"{w} has a negative index")
+        if skip < 0:
+            raise SemigroupError(f"skip must be at least 0, not {skip}")
+        return _encode((kind, w1.n, w1.s, w2.n, w2.s,
+                        self.w_index(c1), self.w_index(c2), skip))
+
     def find_column(self, a1: ALetter, a2: ALetter, c1: Letter, c2: Letter,
                     skip: int = 0) -> BLetter:
         """Fresh column b with p[a1,b] = c1 and p[a2,b] = c2."""
         if a1 == a2:
             raise EqualIndices("find_column needs two distinct rows")
-        t = _encode((_COL, a1.n, a1.s, a2.n, a2.s,
-                     self.w_index(c1), self.w_index(c2), skip))
-        b = BLetter(t + 1, self.identity)
+        b = BLetter(self._stage(_COL, a1, a2, c1, c2, skip) + 1, self.identity)
         _certify(self.entry(a1, b) == c1 and self.entry(a2, b) == c2, "find_column")
         return b
 
@@ -218,9 +251,7 @@ class TwoTransitiveMatrix:
         """Fresh row a with p[a,b1] = c1 and p[a,b2] = c2."""
         if b1 == b2:
             raise EqualIndices("find_row needs two distinct columns")
-        t = _encode((_ROW, b1.n, b1.s, b2.n, b2.s,
-                     self.w_index(c1), self.w_index(c2), skip))
-        a = ALetter(t + 1, self.identity)
+        a = ALetter(self._stage(_ROW, b1, b2, c1, c2, skip) + 1, self.identity)
         _certify(self.entry(a, b1) == c1 and self.entry(a, b2) == c2, "find_row")
         return a
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from sgdsc import finite, relations
 from sgdsc.finite import FiniteSemigroup, OutOfRange, SemigroupError, validate_cayley
@@ -196,3 +196,63 @@ def generate_symmetric_inverse(n: int) -> FiniteSemigroup:
         return "(" + ",".join(f"{d + 1}->{v + 1}" for (d, v) in m) + ")"
 
     return validate_cayley(len(maps), table, [name(m) for m in maps])
+
+
+# ---------------------------------------------------------------------------
+# Byleen stage codec on bit strings: the oracle the int codec is tested against
+
+def _gamma(x: int) -> str:
+    b = bin(x + 1)[2:]
+    return "0" * (len(b) - 1) + b
+
+
+def _delta(x: int) -> str:
+    b = bin(x + 1)[2:]
+    return _gamma(len(b) - 1) + b[1:]
+
+
+def string_encode(parts: Sequence[int]) -> int:
+    """The stage "1" δ(kind) δ(n1) δ(s1) δ(n2) δ(s2) δ(c1) f [δ(c2)] δ(skip)."""
+    kind, n1, s1, n2, s2, c1, c2, skip = parts
+    head = "".join(_delta(x) for x in (kind, n1, s1, n2, s2, c1))
+    colour2 = "1" if c2 == c1 else "0" + _delta(c2)
+    return int("1" + head + colour2 + _delta(skip), 2)
+
+
+def _delta_at(bits: str, pos: int) -> tuple[int, int]:
+    """The δ codeword starting at bits[pos] as (value, end); end -1 if cut short."""
+    one = bits.find("1", pos)
+    mid = 2 * one - pos + 1  # end of the gamma code of the payload length
+    if one < 0 or mid > len(bits):
+        return 0, -1
+    end = mid + int(bits[one:mid], 2) - 1
+    if end > len(bits):
+        return 0, -1
+    return int("1" + bits[mid:end], 2) - 1, end
+
+
+def string_decode(t: int) -> Optional[tuple[int, ...]]:
+    """The requirement whose canonical code is t, or None."""
+    if t < 1:
+        return None
+    bits = bin(t)[3:]
+    out = []
+    pos = 0
+    for _ in range(6):
+        x, pos = _delta_at(bits, pos)
+        if pos < 0:
+            return None
+        out.append(x)
+    if bits[pos:pos + 1] == "1":
+        out.append(out[5])
+        pos += 1
+    else:
+        c2, pos = _delta_at(bits, pos + 1)
+        if pos < 0 or c2 == out[5]:
+            return None
+        out.append(c2)
+    skip, pos = _delta_at(bits, pos)
+    if pos != len(bits):
+        return None
+    out.append(skip)
+    return tuple(out)

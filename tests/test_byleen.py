@@ -125,7 +125,7 @@ components = st.integers(0, 2 ** 80)
 
 
 @st.composite
-def requirements(draw):
+def requirements(draw, components=components):
     """(kind, n1, s1, n2, s2, c1, c2, skip), with c2 == c1 half the time."""
     kind = draw(st.sampled_from((byleen._COL, byleen._ROW)))
     n1, s1, n2, s2, c1, skip = draw(st.lists(components, min_size=6, max_size=6))
@@ -156,6 +156,50 @@ def test_small_integers_encode_no_requirement():
     assert all(byleen._decode(t) is None for t in range(256))
     assert all(byleen._decode(t) is None or byleen._encode(byleen._decode(t)) == t
                for t in range(1 << 14))
+    assert all(byleen._decode(t) == constructions.string_decode(t) for t in range(1 << 14))
+
+
+# components of a few bits up to thousands, as long certificates name them
+wide_components = st.one_of(st.integers(0, 40), components, st.integers(0, 2 ** 6000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(requirements(wide_components), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+def test_int_codec_matches_string_oracle(parts, flip, cut):
+    t = constructions.string_encode(parts)
+    assert byleen._encode(parts) == t
+    # the code itself, one bit below the leading 1 flipped, and cut short
+    width = t.bit_length() - 1
+    for code in (t, t ^ 1 << flip % width, t >> 1 + cut % width):
+        assert byleen._decode(code) == constructions.string_decode(code)
+
+
+# -- component checks: distinct requirements, distinct indices --------------
+
+def test_find_rejects_negative_skip(mat):
+    # δ(-1) and δ(0) are one string, so skip=-1 would mint skip=0's letter
+    with pytest.raises(finite.SemigroupError, match="skip must be at least 0"):
+        mat.find_column(ALetter(0, 0), ALetter(1, 0), SElem(0), SElem(0), skip=-1)
+    with pytest.raises(finite.SemigroupError, match="skip must be at least 0"):
+        mat.find_row(BLetter(0, 0), BLetter(1, 0), SElem(0), SElem(0), skip=-1)
+
+
+def test_find_rejects_negative_letter_index(mat):
+    with pytest.raises(finite.SemigroupError, match="negative index"):
+        mat.find_column(ALetter(-1, 0), ALetter(0, 0), SElem(0), SElem(0))
+    with pytest.raises(finite.SemigroupError, match="negative index"):
+        mat.find_row(BLetter(0, 0), BLetter(1, 0), SElem(0), ALetter(-2, 1))
+
+
+def test_find_rejects_base_element_out_of_range(mat):
+    # on C2, SElem(5) has the w_index of BLetter(0, 1)
+    assert mat.w_index(SElem(5)) == mat.w_index(BLetter(0, 1))
+    with pytest.raises(finite.SemigroupError, match="outside 0..1"):
+        mat.find_column(ALetter(0, 0), ALetter(1, 0), SElem(5), SElem(0))
+    with pytest.raises(finite.SemigroupError, match="outside 0..1"):
+        mat.find_row(BLetter(0, 0), BLetter(1, -1), SElem(0), SElem(0))
+    with pytest.raises(finite.SemigroupError, match="outside 0..1"):
+        mat.find_column(ALetter(0, 2), ALetter(1, 0), SElem(0), SElem(0))
 
 
 def span_pairs(mat, length, rng):
@@ -185,6 +229,44 @@ def test_index_bits_grow_linearly_with_word_length():
             bits = max(w.n.bit_length() for f in expr.factors if f[0] != byleen.GEN
                        for w in f[1].letters() if not isinstance(w, SElem))
             assert bits <= 48 * length + 64, (length, expr.case, bits)
+
+
+@pytest.mark.parametrize("index, case", enumerate(
+    ("equal-words", "a-words-differ", "b-words-differ", "both-differ")))
+def test_each_index_decoded_once_per_matrix(monkeypatch, index, case):
+    m = byleen.TwoTransitiveMatrix(finite.cyclic_group(2))
+    g, h = span_pairs(m, 8, random.Random(13))[index]
+    decoded, minted = [], []
+    decode = byleen._decode
+
+    def counting_decode(t):
+        decoded.append(t)
+        return decode(t)
+
+    def recording(find):
+        def wrapper(self, *args, **kwargs):
+            minted.append(find(self, *args, **kwargs))
+            return minted[-1]
+        return wrapper
+
+    monkeypatch.setattr(byleen, "_decode", counting_decode)
+    for name in ("find_column", "find_row"):
+        monkeypatch.setattr(byleen.TwoTransitiveMatrix, name,
+                            recording(getattr(byleen.TwoTransitiveMatrix, name)))
+    expr = byleen.span_witness(m, g, h, SElem(1), ALetter(0, 0))
+    monkeypatch.undo()
+    assert expr.case == case and minted
+    assert len(decoded) == len(set(decoded))
+    # a minted index's re-check read it back through the decoder
+    assert {w.n - 1 for w in minted} <= set(decoded)
+    # and a matrix that never minted anything reads the same cells
+    nfs = [g, h] + [f[1] for f in expr.factors if f[0] != byleen.GEN]
+    letters = {w for nf in nfs for w in nf.letters()}
+    rows = [w for w in letters if isinstance(w, ALetter)]
+    cols = [w for w in letters if isinstance(w, BLetter)]
+    fresh = byleen.TwoTransitiveMatrix(m.base)
+    assert rows and cols
+    assert all(fresh.entry(a, b) == m.entry(a, b) for a in rows for b in cols)
 
 
 # -- rewriting ------------------------------------------------------------
