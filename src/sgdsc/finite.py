@@ -16,7 +16,10 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-# Largest order from_json accepts; checked before any table loop runs.
+# Largest order from_json accepts; checked before any table loop runs.  Light's
+# test costs |G|·n^2 for a generating set G: up to order 256 as bytes.translate
+# calls, above that as n-entry itemgetter gathers, so a table of rank n at this
+# cap (LZ_1024) takes tens of seconds to validate.
 MAX_ORDER = 1024
 
 
@@ -80,20 +83,12 @@ class FiniteSemigroup:
     @functools.cached_property
     def _greens(self) -> GreensData:
         """R, L and J as strongly connected components of the right, left and
-        two-sided Cayley graphs; H = R∧L; D = join of R and L (= J, checked)."""
-        n = self.order
+        two-sided Cayley graphs; H = R∧L."""
         right, left, _ = self._cayley_graphs
         r, l = (_classes_from_keys(_scc(graph)) for graph in (right, left))
         j = _classes_from_keys(self._j_components)
-        h = _classes_from_keys([(r[x], l[x]) for x in range(n)])
-        # D = R∘L, the join of R and L: each element joins the first of its R- and L-class
-        first: dict = {}
-        joins = [(x, first.setdefault(key, x))
-                 for x in range(n) for key in (("R", r[x]), ("L", l[x]))]
-        d = _classes_from_keys(list(map(_UnionFind(n, joins).find, range(n))))
-        if d != j:
-            raise SemigroupError("D != J on a finite semigroup; table is corrupt")
-        return GreensData(r, l, j, h, d)
+        h = _classes_from_keys([(r[x], l[x]) for x in range(self.order)])
+        return GreensData(r, l, j, h)
 
     @functools.cached_property
     def _proper_ideal(self) -> Optional[frozenset[int]]:
@@ -146,10 +141,11 @@ def validate_cayley(order: int,
 
     Integers must be plain ints: bools and floats are rejected.  Associativity
     is Light's test over a greedy generating set G: (x·g)·y == x·(g·y) for
-    g in G and all x, y, which costs |G|·order^2 instead of order^3.  The
-    elements passing it for all x, y form a subset closed under the product,
-    so once G passes, every product of generators -- all of S -- does too.
-    On failure the full triple scan names the lexicographically first triple.
+    g in G and all x, y, which costs |G|·order^2 instead of order^3 (on
+    bytes up to order 256).  The elements passing it for all x, y form a
+    subset closed under the product, so once G passes, every product of
+    generators -- all of S -- does too.  On failure the full triple scan
+    names the lexicographically first triple.
     """
     if type(order) is not int or order < 1:
         raise SemigroupError("order must be a positive integer")
@@ -167,7 +163,7 @@ def validate_cayley(order: int,
             _raise_first_bad_entry(row, order)
     rows = tuple(tuple(row) for row in table)
     gens = greedy_generators(rows)
-    if not all(_light_test(rows, g) for g in gens):
+    if not (_light_test_bytes if order <= 256 else _light_test)(rows, gens):
         _raise_first_non_associative(rows)
     if names is None:
         names = [f"x{i}" for i in range(order)]
@@ -248,12 +244,29 @@ def _pair_orbit(rows: Sequence[Sequence[int]], codes: Iterable[int],
     return [z * n + w for (z, w) in gens], int(reached[::-1].translate(_DIGITS), 2)
 
 
-def _light_test(rows: Sequence[tuple[int, ...]], g: int) -> bool:
-    """(x·g)·y == x·(g·y) for all x, y: rows are compared whole."""
+def _light_test(rows: Sequence[tuple[int, ...]], gens: Iterable[int]) -> bool:
+    """(x·g)·y == x·(g·y) for every g in gens and all x, y, rows compared
+    whole: x·(g·y) over all y is row x gathered at the entries of row g."""
     if len(rows) == 1:
         return True  # [[0]]; itemgetter of one index returns no tuple
-    gy = operator.itemgetter(*rows[g])
-    return all(rows[rx[g]] == gy(rx) for rx in rows)
+    for g in gens:
+        gy = operator.itemgetter(*rows[g])
+        if not all(rows[rx[g]] == gy(rx) for rx in rows):
+            return False
+    return True
+
+
+def _light_test_bytes(rows: Sequence[tuple[int, ...]], gens: Iterable[int]) -> bool:
+    """_light_test for order <= 256 with rows as bytes: x·(g·y) over all y is
+    row g translated through row x, padded to a 256-byte translation table."""
+    rows_b = [bytes(r) for r in rows]
+    pad = bytes(256 - len(rows))
+    tables = [r + pad for r in rows_b]
+    for g in gens:
+        gy = rows_b[g]
+        if not all(gy.translate(tx) == rows_b[rx[g]] for rx, tx in zip(rows_b, tables)):
+            return False
+    return True
 
 
 def _raise_first_non_associative(rows: Sequence[Sequence[int]]) -> None:
@@ -291,7 +304,6 @@ class GreensData:
     l_class: tuple[int, ...]
     j_class: tuple[int, ...]
     h_class: tuple[int, ...]
-    d_class: tuple[int, ...]
 
 
 def _classes_from_keys(keys: list) -> tuple[int, ...]:
@@ -349,25 +361,9 @@ def _scc(succ: Sequence[Sequence[int]]) -> list[int]:
     return comp
 
 
-class _UnionFind:
-    """Blocks of 0..order-1: the join of ``pairs``."""
-
-    def __init__(self, order: int, pairs: Iterable[tuple[int, int]]):
-        self.parent = list(range(order))
-        for (x, y) in pairs:
-            self.parent[self.find(x)] = self.find(y)
-
-    def find(self, a: int) -> int:
-        parent = self.parent
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-
 def greens(s: FiniteSemigroup) -> GreensData:
     """R, L and J as strongly connected components of the right, left and two-sided
-    Cayley graphs; H = R∧L; D = join of R and L (= J, checked)."""
+    Cayley graphs; H = R∧L."""
     return s._greens
 
 

@@ -10,8 +10,9 @@ certified witnesses for the failing cases.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import finite
 from .finite import FiniteSemigroup, TooLarge
@@ -96,12 +97,14 @@ def _pair_set(s: FiniteSemigroup, mask: int) -> PairSet:
 def axiom_report(s: FiniteSemigroup, rho: PairSet) -> AxiomReport:
     """Check the four congruence axioms independently, recording first violations.
 
-    rho's pairs are listed once, in sorted order.  Closure is
-    finite._pair_orbit over them with rho's rows as the allowed relation: if
-    the right orbit of their greedy generators G stays inside rho it reaches
-    all of rho, so rho = <G> is closed.  Transitivity compares rows.  Only a
-    product leaving rho runs the lexicographic double loop that names the
-    first failing (x, y, z, w).
+    rho's pairs are listed once, in sorted order.  Symmetry and transitivity
+    compare rows.  Closure of a preorder (reflexive and transitive) is
+    _preorder_closed over S's generators; of any other rho it is
+    finite._pair_orbit over its pairs with rho's rows as the allowed
+    relation: if the right orbit of their greedy generators G stays inside
+    rho it reaches all of rho, so rho = <G> is closed.  Only a rho that is
+    not closed runs the lexicographic double loop that names the first
+    failing (x, y, z, w).
     """
     n, t = s.order, s.table
     if rho.subject.order != n:
@@ -115,12 +118,6 @@ def axiom_report(s: FiniteSemigroup, rho: PairSet) -> AxiomReport:
             diag_ok = False
             violations["contains_diagonal"] = (x, x)
             break
-
-    sub_ok = finite._pair_orbit(t, [x * n + y for (x, y) in pairs], rows) is not None
-    if not sub_ok:
-        violations["is_subsemigroup"] = next(
-            (x, y, z, w) for (x, y) in pairs for (z, w) in pairs
-            if not rows[t[x][z]] >> t[y][w] & 1)
 
     sym_ok = True
     for (x, y) in pairs:
@@ -139,7 +136,47 @@ def axiom_report(s: FiniteSemigroup, rho: PairSet) -> AxiomReport:
             violations["is_transitive"] = (x, y, (missing & -missing).bit_length() - 1)
             break
 
+    if diag_ok and trans_ok:
+        sub_ok = _preorder_closed(s, rows)
+    else:
+        sub_ok = finite._pair_orbit(t, [x * n + y for (x, y) in pairs], rows) is not None
+    if not sub_ok:
+        violations["is_subsemigroup"] = next(
+            (x, y, z, w) for (x, y) in pairs for (z, w) in pairs
+            if not rows[t[x][z]] >> t[y][w] & 1)
+
     return AxiomReport(diag_ok, sub_ok, sym_ok, trans_ok, violations)
+
+
+def _preorder_closed(s: FiniteSemigroup, rows: Sequence[int]) -> bool:
+    """Whether a reflexive, transitive relation, given by its rows, is a
+    subsemigroup of S x S.
+
+    It is exactly when (xg, yg) and (gx, gy) are in it for every (x, y) in it
+    and every generator g: then it is closed under multiplication by any
+    element on either side, and (xz, yz), (yz, yw) in it give (xz, yw) by
+    transitivity.  So the image of row x under y -> yg must lie in row xg,
+    and under y -> gy in row gx.  Each distinct row's image is taken once per
+    generator, through the Cayley graphs' columns; a row {x} is skipped, as
+    (xg, xg) is in the relation.
+    """
+    n = s.order
+    right, left, _ = s._cayley_graphs
+    xs_of: dict[int, list[int]] = {}
+    for x, row in enumerate(rows):
+        if row != 1 << x:
+            xs_of.setdefault(row, []).append(x)
+    bit = [1 << y for y in range(n)]
+    # each row holds x and one more element, so itemgetter returns a tuple
+    gets = [(operator.itemgetter(*(y for y in range(n) if row >> y & 1)), xs)
+            for row, xs in xs_of.items()]
+    for graph in (right, left):
+        for image_of in zip(*graph):  # image_of[y] = yg, or gy on the left graph
+            for get, xs in gets:
+                image = sum(map(bit.__getitem__, set(get(image_of))))
+                if any(image & ~rows[image_of[x]] for x in xs):
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +221,14 @@ def _closed_masks(s: FiniteSemigroup) -> Iterator[int]:
 def brute_force_is_dsc(s: FiniteSemigroup) -> tuple[bool, Optional[PairSet]]:
     """Check every diagonal subsemigroup of S x S; complete for order <= 4.
 
-    The diagonal subsemigroups come from NextClosure in increasing mask order;
-    the first one that is not symmetric or not transitive (lowest mask) is
-    returned as the witness.
+    The diagonal subsemigroups come from NextClosure in increasing mask order,
+    closed already; the first one that is not symmetric or not transitive
+    (lowest mask) is returned as the witness.
     """
     for mask in _closed_masks(s):
         ps = _pair_set(s, mask)
-        rep = axiom_report(s, ps)
-        if not (rep.is_symmetric and rep.is_transitive):
+        rows = ps.rows
+        if not all(rows[y] >> x & 1 and not rows[y] & ~rows[x] for (x, y) in ps):
             return False, ps
     return True, None
 

@@ -54,6 +54,26 @@ def natural_partial_order(s: FiniteSemigroup) -> relations.PairSet:
         s, [(s.table[e][y], y) for e in es for y in range(s.order)])
 
 
+def greens_d(gd: finite.GreensData) -> tuple[int, ...]:
+    """Green's D, the join of R and L: the connected components of "same R-class
+    or same L-class", numbered by least member like the library's classes."""
+    r, l = gd.r_class, gd.l_class
+    n = len(r)
+    root = [-1] * n
+    for x in range(n):
+        if root[x] < 0:
+            root[x] = x
+            stack = [x]
+            while stack:
+                y = stack.pop()
+                for z in range(n):
+                    if root[z] < 0 and (r[z] == r[y] or l[z] == l[y]):
+                        root[z] = x
+                        stack.append(z)
+    ids: dict = {}
+    return tuple(ids.setdefault(x, len(ids)) for x in root)
+
+
 def count_diagonal_subsemigroups(s: FiniteSemigroup) -> int:
     """Number of multiplication-closed supersets of the diagonal (order <= 4)."""
     return sum(1 for _ in relations._closed_masks(s))

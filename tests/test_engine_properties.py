@@ -164,6 +164,23 @@ def generators_oracle(s):
     return gens
 
 
+def preorder_closure(n, pairs):
+    """Least reflexive, transitive relation holding the pairs, by Warshall's
+    algorithm on row sets."""
+    rows = [{x} for x in range(n)]
+    for (x, y) in pairs:
+        rows[x].add(y)
+    for k in range(n):
+        for row in rows:
+            if k in row:
+                row |= rows[k]
+    return frozenset((x, y) for x in range(n) for y in rows[x])
+
+
+def mask_pairs(n, mask):
+    return {(p // n, p % n) for p in range(n * n) if mask >> p & 1}
+
+
 def is_equivalence(rho):
     return all((y, x) in rho for (x, y) in rho) and \
         all((x, w) in rho for (x, y) in rho for (z, w) in rho if y == z)
@@ -266,21 +283,27 @@ def corrupted(draw):
 @st.composite
 def pairs_on(draw):
     """A semigroup of order <= 8 and the pairs of a relation on it: random pair
-    sets (with or without the diagonal), diagonal closures and generated
-    congruences."""
+    sets (with or without the diagonal), diagonal closures, preorders
+    (reflexive-transitive closures), generated congruences, and the witness
+    of a non-group with one pair added or removed."""
     s = draw(semigroups(max_order=8))
     n = s.order
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     some = draw(st.sets(pair, max_size=2 * n))
-    kind = draw(st.sampled_from(("raw", "with-diagonal", "closure", "congruence")))
+    kind = draw(st.sampled_from(
+        ("raw", "with-diagonal", "closure", "preorder", "congruence", "witness")))
     if kind == "raw":
         pairs = some
     elif kind == "with-diagonal":
         pairs = some | {(x, x) for x in range(n)}
     elif kind == "closure":
         pairs = frozenset(closure_oracle(s, some))
-    else:
+    elif kind == "preorder":
+        pairs = preorder_closure(n, some)
+    elif kind == "congruence" or finite.is_group(s):
         pairs = frozenset(congruence_oracle(s, set(list(some)[:2])))
+    else:
+        pairs = frozenset(relations.witness_non_dsc(s)[0]) ^ {draw(pair)}
     return s, pairs
 
 
@@ -295,6 +318,11 @@ def relations_on():
 
 def check_validation(rows):
     expected = first_non_associative(rows)
+    # Light's test on bytes and on gathered rows, whatever the order
+    table = tuple(map(tuple, rows))
+    gens = finite.greedy_generators(table)
+    assert finite._light_test_bytes(table, gens) == (expected is None)
+    assert finite._light_test(table, gens) == (expected is None)
     try:
         finite.validate_cayley(len(rows), rows)
     except finite.NonAssociative as exc:
@@ -314,6 +342,25 @@ def test_light_test_matches_triple_scan_on_random_tables(rows):
 @given(corrupted())
 def test_light_test_matches_triple_scan_on_corrupted_semigroups(rows):
     check_validation(rows)
+
+
+# bytes hold the entries of a table up to order 256; above, rows are gathered
+@pytest.mark.parametrize("n, light", [(256, "_light_test_bytes"), (257, "_light_test")])
+def test_light_test_either_side_of_the_bytes_bound(monkeypatch, n, light):
+    ran = []
+
+    def recording(name):
+        test = getattr(finite, name)
+        return lambda *args: ran.append(name) or test(*args)
+    for name in ("_light_test_bytes", "_light_test"):
+        monkeypatch.setattr(finite, name, recording(name))
+    rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+    assert finite.validate_cayley(n, rows).order == n
+    rows[0][1] = 2  # (0·1)·1 = 3 but 0·(1·1) = 2
+    with pytest.raises(finite.NonAssociative) as exc:
+        finite.validate_cayley(n, rows)
+    assert exc.value.triple == first_non_associative(rows) == (0, 1, 1)
+    assert ran == [light, light]
 
 
 # the edge order of the Cayley graphs, and through it the Green's class ids,
@@ -339,7 +386,8 @@ def test_greens_classes_are_principal_ideal_classes(s):
     assert gd.l_class == numbered(left)
     assert gd.j_class == numbered(both)
     assert gd.h_class == numbered(zip(right, left))
-    assert gd.d_class == gd.j_class
+    # D = J in a finite semigroup, D the join of R and L built here
+    assert constructions.greens_d(gd) == gd.j_class
 
 
 @settings(max_examples=100, deadline=None)
@@ -356,6 +404,12 @@ def test_axiom_report_matches_double_loops(subject_rho):
     rep = relations.axiom_report(s, rho)
     assert {k: getattr(rep, k) for k in flags} == flags
     assert rep.violations == violations
+    # axiom_report tests a preorder's closure per generator, any other's by the orbit
+    n = s.order
+    closed = finite._pair_orbit(s.table, [x * n + y for (x, y) in rho], rho.rows) is not None
+    assert closed == flags["is_subsemigroup"]
+    if flags["contains_diagonal"] and flags["is_transitive"]:
+        assert relations._preorder_closed(s, rho.rows) == closed
 
 
 @settings(max_examples=150, deadline=None)
@@ -427,7 +481,9 @@ def test_is_simple_matches_completely_simple_definition_orders_1_to_4():
 
 def check_subset_scan(s):
     closed = list(diagonal_subsemigroups(s))
-    assert constructions.count_diagonal_subsemigroups(s) == len(closed)
+    # NextClosure lists exactly these, in order, so brute_force_is_dsc tests
+    # only symmetry and transitivity on its masks
+    assert [mask_pairs(s.order, mask) for mask in relations._closed_masks(s)] == closed
     first = next((rho for rho in closed if not is_equivalence(rho)), None)
     ok, witness = relations.brute_force_is_dsc(s)
     assert ok == (first is None)

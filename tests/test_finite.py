@@ -112,13 +112,15 @@ def test_greens_left_zero():
 
 def test_greens_group_single_class():
     gd = finite.greens(finite.cyclic_group(3))
-    for cls in (gd.r_class, gd.l_class, gd.j_class, gd.h_class, gd.d_class):
+    for cls in (gd.r_class, gd.l_class, gd.j_class, gd.h_class,
+                constructions.greens_d(gd)):
         assert len(set(cls)) == 1
 
 
 def test_greens_semilattice_singletons():
     gd = finite.greens(constructions.min_semilattice())
-    for cls in (gd.r_class, gd.l_class, gd.j_class, gd.h_class, gd.d_class):
+    for cls in (gd.r_class, gd.l_class, gd.j_class, gd.h_class,
+                constructions.greens_d(gd)):
         assert len(set(cls)) == 2
 
 
@@ -302,7 +304,7 @@ def test_greens_refinement_order_3():
                 if gd.h_class[x] == gd.h_class[y]:
                     assert gd.r_class[x] == gd.r_class[y]
                     assert gd.l_class[x] == gd.l_class[y]
-        assert gd.d_class == gd.j_class
+        assert constructions.greens_d(gd) == gd.j_class
 
 
 def test_symmetric_inverse_monoids():

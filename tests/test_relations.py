@@ -16,6 +16,23 @@ def test_axiom_report_multiplies_reached_pairs_by_later_generators():
     assert not rep.is_subsemigroup and rep.violations["is_subsemigroup"] == (0, 2, 1, 1)
 
 
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_axiom_report_tests_a_preorder_on_both_sides(side):
+    # the cosets of a subgroup H of order 2 in S3, which is not normal: x ~ y
+    # when Hx = Hy is closed under right multiplication only, xH = yH under
+    # left multiplication only
+    s = constructions.symmetric_group_3()
+    t, n = s.table, s.order
+    h = [0, next(x for x in range(1, n) if t[x][x] == 0)]  # element 0 is the identity
+    coset = [frozenset(t[k][x] if side == "right" else t[x][k] for k in h) for x in range(n)]
+    rho = relations.PairSet.from_pairs(
+        s, [(x, y) for x in range(n) for y in range(n) if coset[x] == coset[y]])
+    closed_on_the_right = all((t[x][g], t[y][g]) in rho for (x, y) in rho for g in range(n))
+    assert closed_on_the_right == (side == "right")
+    rep = relations.axiom_report(s, rho)
+    assert rep.is_symmetric and rep.is_transitive and not rep.is_subsemigroup
+
+
 def test_axiom_report_diagonal_and_full():
     s = finite.cyclic_group(3)
     assert relations.axiom_report(
