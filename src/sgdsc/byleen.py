@@ -13,7 +13,7 @@ untouched cells default to the identity of S.  A fresh letter named in the
 next requirement of a chain adds a bounded number of bits to the next index,
 so certificate indices grow linearly with word length.
 
-Every certificate-producing operation (the six claims, span_witness,
+Every certificate-producing operation (the five claims, span_witness,
 express_pair, inverse_of) re-verifies its output by evaluation before
 returning it, and raises CertificateError if the re-check fails.
 """
@@ -204,22 +204,17 @@ class TwoTransitiveMatrix:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        val: Optional[Letter] = None
-        req = self._requirement(b.n)
-        if req is not None and req[0] == _COL and req[1:3] != req[3:5]:
-            if (a.n, z) == req[1:3]:
-                val = self.w_letter(req[5])
-            elif (a.n, z) == req[3:5]:
-                val = self.w_letter(req[6])
-        if val is None:
-            req = self._requirement(a.n)
-            if req is not None and req[0] == _ROW and req[1:3] != req[3:5]:
-                if (b.n, z) == req[1:3]:
+        val: Letter = SElem(self.identity)
+        # a column's requirement first, then a row's
+        for fresh, kind, other in ((b.n, _COL, a.n), (a.n, _ROW, b.n)):
+            req = self._requirement(fresh)
+            if req is not None and req[0] == kind and req[1:3] != req[3:5]:
+                if (other, z) == req[1:3]:
                     val = self.w_letter(req[5])
-                elif (b.n, z) == req[3:5]:
+                    break
+                if (other, z) == req[3:5]:
                     val = self.w_letter(req[6])
-        if val is None:
-            val = SElem(self.identity)
+                    break
         self._memo[key] = val
         return val
 
@@ -544,30 +539,6 @@ def _claim5_rec(m, v, y):
     return nf_mul(mu, a_word_nf(m, (a,))), side, q
 
 
-def claim6(m: TwoTransitiveMatrix, v: Sequence[BLetter], y: Sequence[BLetter],
-           w1: Letter, w2: Letter) -> tuple[NormalForm, NormalForm]:
-    """Diagonal factors with μ·(v,y)·λ = (w1,w2), for distinct B-words v, y."""
-    mu5, side, q = claim5(m, v, y)
-    a0 = ALetter(0, m.identity)
-    a_star = _back_chain(m, q, a0)
-    if side == "left":
-        b = m.find_column(a_star, a0, w1, w2)
-    else:
-        b = m.find_column(a_star, a0, w2, w1)
-    mu = nf_mul(a_word_nf(m, (a_star,)), mu5)
-    lam = b_word_nf(m, (b,))
-    _certify(nf_mul(nf_mul(mu, b_word_nf(m, v)), lam) == letter_nf(m, w1)
-             and nf_mul(nf_mul(mu, b_word_nf(m, y)), lam) == letter_nf(m, w2), "claim6")
-    return mu, lam
-
-
-def _back_chain(m: TwoTransitiveMatrix, q: Sequence[BLetter], a0: ALetter) -> ALetter:
-    """An A-letter a* ≠ a0 with a*·q = a0, chained through fresh rows."""
-    a_star = _chain(m, q, a0)
-    _certify(reduce(m, [a_star] + list(q)) == letter_nf(m, a0), "back chain")
-    return a_star
-
-
 # ---------------------------------------------------------------------------
 # Span certificates
 
@@ -603,35 +574,27 @@ def span_witness(m: TwoTransitiveMatrix, g: NormalForm, h: NormalForm,
         raise EqualElements("span_witness needs distinct elements")
     v, s, u = g.v, g.s, g.u
     y, t, x = h.v, h.s, h.u
-    if u == x and v != y:
-        lam1 = claim1(m, u)
-        b0 = BLetter(0, m.identity)
-        b1, b2 = b_act(m, s, b0), b_act(m, t, b0)
-        mu6, lam6 = claim6(m, v + (b1,), y + (b2,), w1, w2)
-        factors = (_diag(mu6), (GEN,), _diag(lam1),
-                   _diag(b_word_nf(m, (b0,))), _diag(lam6))
-        case = "b-words-differ"
+    # A side: λ with (u,x)·λ = (p1,p2), one of p1, p2 empty
+    if u == x:
+        lam, p1, p2 = claim1(m, u), (), ()
     else:
-        # A side: λ with (u,x)·λ = (p1,p2), one of p1, p2 empty
-        if u == x:
-            lam, p1, p2 = claim1(m, u), (), ()
-        else:
-            lam, side, p = claim2(m, u, x)
-            p1, p2 = ((), p) if side == "left" else (p, ())
-        # B side: μ with a1·μ·(v,y) = (a1,a0) or (a0,a1), where a1 = a0 if v == y
-        a0 = ALetter(0, m.identity)
-        if v == y:
-            mu, side, a1 = claim4(m, v), "left", a0
-        else:
-            mu, side, q = claim5(m, v, y)
-            a1 = _back_chain(m, q, a0)
-        a_s, a_t = (a1, a0) if side == "left" else (a0, a1)
-        mu3, lam3 = claim3(m, (a_act(m, a_s, s),) + p1, (a_act(m, a_t, t),) + p2,
-                           w1, w2)
-        factors = (_diag(mu3), _diag(a_word_nf(m, (a1,))), _diag(mu),
-                   (GEN,), _diag(lam), _diag(lam3))
-        case = {(True, True): "equal-words", (False, True): "a-words-differ",
-                (False, False): "both-differ"}[u == x, v == y]
+        lam, side, p = claim2(m, u, x)
+        p1, p2 = ((), p) if side == "left" else (p, ())
+    # B side: μ with a1·μ·(v,y) = (a1,a0) or (a0,a1), where a1 = a0 if v == y,
+    # else a fresh row a1 ≠ a0 with a1·q = a0
+    a0 = ALetter(0, m.identity)
+    if v == y:
+        mu, side, a1 = claim4(m, v), "left", a0
+    else:
+        mu, side, q = claim5(m, v, y)
+        a1 = _chain(m, q, a0)
+        _certify(reduce(m, [a1] + list(q)) == letter_nf(m, a0), "back chain")
+    a_s, a_t = (a1, a0) if side == "left" else (a0, a1)
+    mu3, lam3 = claim3(m, (a_act(m, a_s, s),) + p1, (a_act(m, a_t, t),) + p2, w1, w2)
+    factors = (_diag(mu3), _diag(a_word_nf(m, (a1,))), _diag(mu),
+               (GEN,), _diag(lam), _diag(lam3))
+    case = {(True, True): "equal-words", (False, True): "a-words-differ",
+            (True, False): "b-words-differ", (False, False): "both-differ"}[u == x, v == y]
     expr = PairExpr(factors, (g, h), case)
     got = expr.evaluate()
     _certify(got == (letter_nf(m, w1), letter_nf(m, w2)), f"span_witness ({case})")

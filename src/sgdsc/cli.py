@@ -19,6 +19,12 @@ def _emit(obj, pretty: bool) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2 if pretty else None))
 
 
+def _error(message: str, code: int = 2) -> int:
+    """Print {"error": message} on stderr and return the exit code."""
+    print(json.dumps({"error": message}), file=sys.stderr)
+    return code
+
+
 def _report(subject, checks, timing: Optional[float]) -> dict:
     rep = {"subject": subject, "checks": checks}
     if timing is not None:
@@ -43,8 +49,7 @@ def cmd_check(args) -> int:
     try:
         s = _load_table(args.path)
     except _LOAD_ERRORS as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
+        return _error(str(exc))
     t0 = time.perf_counter()
     checks = []
 
@@ -95,15 +100,10 @@ def cmd_check(args) -> int:
 def cmd_enumerate(args) -> int:
     top = finite.MAX_ENUMERATION_ORDER
     if not 1 <= args.n <= top:
-        print(json.dumps({"error": f"enumeration order must be between 1 and {top}"}),
-              file=sys.stderr)
-        return 2
+        return _error(f"enumeration order must be between 1 and {top}")
     if args.oracle and args.n > relations.SUBSET_SCAN_MAX_ORDER:
-        print(json.dumps({"error": "--oracle is capped at order "
-                                   f"{relations.SUBSET_SCAN_MAX_ORDER}, the cap of the "
-                                   "subset scan brute_force_is_dsc"}),
-              file=sys.stderr)
-        return 2
+        return _error(f"--oracle is capped at order {relations.SUBSET_SCAN_MAX_ORDER}, "
+                      "the cap of the subset scan brute_force_is_dsc")
     if args.oracle:
         # group, DSC and the witness strategy are invariant under relabeling,
         # so each class counts n!/|Aut| times
@@ -142,8 +142,7 @@ def cmd_witness(args) -> int:
     try:
         s = _load_table(args.path)
     except _LOAD_ERRORS as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
+        return _error(str(exc))
     if finite.is_group(s):
         _emit({"subject": {"path": args.path, "order": s.order},
                "error": "subject is a group; it is DSC and has no witness"},
@@ -200,9 +199,7 @@ def cmd_byleen(args) -> int:
     want = _BYLEEN_WORDS[args.action]
     if len(args.args) != want:
         words = "1 word" if want == 1 else f"{want} words"
-        print(json.dumps({"error": f"byleen {args.action} takes {words}, "
-                                   f"got {len(args.args)}"}), file=sys.stderr)
-        return 2
+        return _error(f"byleen {args.action} takes {words}, got {len(args.args)}")
     m = byleen.TwoTransitiveMatrix(_base_monoid(args.base))
     try:
         if args.action == "eval":
@@ -232,11 +229,9 @@ def cmd_byleen(args) -> int:
             _emit({"element": byleen.render(t), "inverse": byleen.render(inv),
                    "verified": True}, args.pretty)
     except ValueError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
+        return _error(str(exc))
     except (byleen.EqualElements, byleen.NotRegularBase, byleen.CertificateError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 1
+        return _error(str(exc), 1)
     return 0
 
 
@@ -258,8 +253,7 @@ class _Parser(argparse.ArgumentParser):
     """
 
     def error(self, message):
-        print(json.dumps({"error": message}), file=sys.stderr)
-        sys.exit(2)
+        sys.exit(_error(message))
 
 
 def build_parser() -> argparse.ArgumentParser:

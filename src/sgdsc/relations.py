@@ -97,19 +97,20 @@ def _pair_set(s: FiniteSemigroup, mask: int) -> PairSet:
 def axiom_report(s: FiniteSemigroup, rho: PairSet) -> AxiomReport:
     """Check the four congruence axioms independently, recording first violations.
 
-    rho's pairs are listed once, in sorted order.  Symmetry and transitivity
-    compare rows.  Closure of a preorder (reflexive and transitive) is
-    _preorder_closed over S's generators; of any other rho it is
-    finite._pair_orbit over its pairs with rho's rows as the allowed
+    Symmetry and transitivity compare rows: symmetry reads rho's pairs in
+    sorted order up to the first asymmetric one, and transitivity tests each
+    distinct row once, at its first x.  Closure of a preorder (reflexive and
+    transitive) is _preorder_closed over S's generators; of any other rho it
+    is finite._pair_orbit over its pairs with rho's rows as the allowed
     relation: if the right orbit of their greedy generators G stays inside
     rho it reaches all of rho, so rho = <G> is closed.  Only a rho that is
-    not closed runs the lexicographic double loop that names the first
-    failing (x, y, z, w).
+    not closed lists its pairs and runs the lexicographic double loop that
+    names the first failing (x, y, z, w).
     """
     n, t = s.order, s.table
     if rho.subject.order != n:
         raise finite.SemigroupError(f"relation on order {rho.subject.order} checked on order {n}")
-    rows, pairs = rho.rows, list(rho)
+    rows = rho.rows
     violations: dict = {}
 
     diag_ok = True
@@ -120,27 +121,40 @@ def axiom_report(s: FiniteSemigroup, rho: PairSet) -> AxiomReport:
             break
 
     sym_ok = True
-    for (x, y) in pairs:
+    for (x, y) in rho:
         if not rows[y] >> x & 1:
             sym_ok = False
             violations["is_symmetric"] = (x, y)
             break
 
     # the first failure is the first (x, y) in order with a z in row y but
-    # not in row x, taken smallest
+    # not in row x, taken smallest; elements sharing a row fail alike, so
+    # only the first of them is tested
     trans_ok = True
-    for (x, y) in pairs:
-        missing = rows[y] & ~rows[x]
-        if missing:
-            trans_ok = False
-            violations["is_transitive"] = (x, y, (missing & -missing).bit_length() - 1)
+    tested: set[int] = set()
+    for x, row in enumerate(rows):
+        if row in tested:
+            continue
+        tested.add(row)
+        ys = row
+        while ys:
+            low = ys & -ys
+            y = low.bit_length() - 1
+            missing = rows[y] & ~row
+            if missing:
+                trans_ok = False
+                violations["is_transitive"] = (x, y, (missing & -missing).bit_length() - 1)
+                break
+            ys ^= low
+        if not trans_ok:
             break
 
     if diag_ok and trans_ok:
         sub_ok = _preorder_closed(s, rows)
     else:
-        sub_ok = finite._pair_orbit(t, [x * n + y for (x, y) in pairs], rows) is not None
+        sub_ok = finite._pair_orbit(t, [x * n + y for (x, y) in rho], rows) is not None
     if not sub_ok:
+        pairs = list(rho)
         violations["is_subsemigroup"] = next(
             (x, y, z, w) for (x, y) in pairs for (z, w) in pairs
             if not rows[t[x][z]] >> t[y][w] & 1)

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sgdsc import byleen, finite
 from sgdsc.byleen import ALetter, BLetter, NormalForm, SElem
@@ -453,13 +453,6 @@ def test_claim5(mat):
         byleen.claim5(mat, (b,), (b,))
 
 
-def test_claim6(mat):
-    v, y = (BLetter(0, 0),), (BLetter(1, 1), BLetter(0, 0))
-    mu, lam = byleen.claim6(mat, v, y, SElem(1), ALetter(0, 0))
-    assert byleen.nf_mul(byleen.nf_mul(mu, byleen.b_word_nf(mat, v)), lam) \
-        == byleen.letter_nf(mat, SElem(1))
-
-
 # -- certificates ---------------------------------------------------------
 
 def test_span_witness_cases(mat):
@@ -476,6 +469,53 @@ def test_span_witness_cases(mat):
         assert expr.case == case
         assert expr.evaluate() == (byleen.letter_nf(mat, SElem(1)),
                                    byleen.letter_nf(mat, a0))
+
+
+def test_span_witness_one_factor_layout():
+    # every case takes the same path: μ3, a1, μ, the generator, λ, λ3
+    m = byleen.TwoTransitiveMatrix(finite.cyclic_group(2))
+    for g, h in span_pairs(m, 3, random.Random(17)):
+        expr = byleen.span_witness(m, g, h, SElem(1), ALetter(0, 0))
+        assert [f[0] for f in expr.factors] == ["diag", "diag", "diag", byleen.GEN,
+                                                "diag", "diag"], expr.case
+
+
+_BASES = (finite.cyclic_group(2), finite.trivial_monoid())
+
+
+@st.composite
+def span_inputs(draw):
+    """A matrix, distinct normal forms g and h, and two target letters.
+
+    h keeps g's A-word, B-word and base element each with even odds, so all
+    four cases come up, with words of length 0-4, unequal lengths included."""
+    m = byleen.TwoTransitiveMatrix(draw(st.sampled_from(_BASES)))
+    k = m.base.order
+    a_word = st.lists(st.builds(ALetter, st.integers(0, 2), st.integers(0, k - 1)),
+                      max_size=4).map(tuple)
+    b_word = st.lists(st.builds(BLetter, st.integers(0, 2), st.integers(0, k - 1)),
+                      max_size=4).map(tuple)
+    base_elem = st.integers(0, k - 1)
+    v, s, u = draw(b_word), draw(base_elem), draw(a_word)
+    y, t, x = (old if draw(st.booleans()) else draw(new)
+               for old, new in ((v, b_word), (s, base_elem), (u, a_word)))
+    g, h = NormalForm(v, s, u, m), NormalForm(y, t, x, m)
+    assume(g != h)
+    target = st.one_of(st.builds(ALetter, st.integers(0, 3), base_elem),
+                       st.builds(BLetter, st.integers(0, 3), base_elem),
+                       st.builds(SElem, base_elem))
+    return m, g, h, draw(target), draw(target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(span_inputs())
+def test_span_witness_on_random_normal_forms(inputs):
+    m, g, h, w1, w2 = inputs
+    expr = byleen.span_witness(m, g, h, w1, w2)
+    assert expr.evaluate() == (byleen.letter_nf(m, w1), byleen.letter_nf(m, w2))
+    assert expr.case == {(True, True): "equal-words", (False, True): "a-words-differ",
+                         (True, False): "b-words-differ",
+                         (False, False): "both-differ"}[g.u == h.u, g.v == h.v]
 
 
 def test_span_witness_faithfulness_case(mat):

@@ -13,7 +13,7 @@ growing each subsemigroup to a fixpoint.
 import functools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sgdsc import finite, relations
 
@@ -396,8 +396,15 @@ def test_proper_ideal_is_brute_force_minimum(s):
     assert finite.proper_ideal(s) == smallest_proper_ideal(s)
 
 
+# 1 and 2 share the row {1, 2, 3}, which is not transitive: (3, 0) is in rho
+_SHARED_INTRANSITIVE_ROW = relations.PairSet.from_pairs(
+    finite.cyclic_group(4), [(0, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3),
+                             (3, 0), (3, 3)])
+
+
 @settings(max_examples=150, deadline=None)
 @given(relations_on())
+@example((_SHARED_INTRANSITIVE_ROW.subject, _SHARED_INTRANSITIVE_ROW))
 def test_axiom_report_matches_double_loops(subject_rho):
     s, rho = subject_rho
     flags, violations = axiom_oracle(s, frozenset(rho))
