@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add, neg, sub
 from typing import Optional
 
 from .finite import EndomorphismTable, SemigroupError, cyclic_group
@@ -378,9 +379,11 @@ def baer_levi_witness() -> dict:
 # a path is the list of choices taken, and each choice adds one constraint
 # row (c0, c1, ..., cn), meaning c0 + c1·v1 + ... >= 0.  The statement holds
 # when every path on which it returns False or raises SemigroupError is
-# infeasible, shown by Fourier-Motzkin elimination.
+# infeasible, shown by Fourier-Motzkin elimination.  A comparison builds one
+# coefficient tuple, with map over the operands' terms, and elimination
+# picks the variable with the fewest bound pairs.
 
-_MAX_BRANCHES = 256  # the deepest path of a suite law takes 21
+_MAX_BRANCHES = 256  # the deepest path of a suite law takes 13
 
 
 class _Linear:
@@ -396,40 +399,57 @@ class _Linear:
     def __init__(self, terms, path):
         self.terms, self.path = terms, path
 
-    def _plus(self, other, sign):
+    def _plus(self, other, op):
         if isinstance(other, _Linear):
-            terms = tuple(a + sign * b for a, b in zip(self.terms, other.terms))
+            terms = tuple(map(op, self.terms, other.terms))
         elif isinstance(other, int):
-            terms = (self.terms[0] + sign * other,) + self.terms[1:]
+            terms = (op(self.terms[0], other),) + self.terms[1:]
         else:
             return NotImplemented
         return _Linear(terms, self.path)
 
     def __add__(self, other):
-        return self._plus(other, 1)
+        return self._plus(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._plus(other, -1)
+        return self._plus(other, sub)
 
     def __rsub__(self, other):
-        return (-self)._plus(other, 1)
+        return (-self)._plus(other, add)
 
     def __neg__(self):
-        return _Linear(tuple(-a for a in self.terms), self.path)
+        return _Linear(tuple(map(neg, self.terms)), self.path)
+
+    def _minus(self, other, c):
+        """The terms of self - other + c."""
+        if isinstance(other, int):
+            return (self.terms[0] - other + c,) + self.terms[1:]
+        if not isinstance(other, _Linear):
+            raise TypeError("symbolic integer compared with a non-integer")
+        terms = tuple(map(sub, self.terms, other.terms))
+        return (terms[0] + c,) + terms[1:] if c else terms
+
+    def _rminus(self, other, c):
+        """The terms of other - self + c."""
+        if isinstance(other, _Linear):
+            return other._minus(self, c)
+        if not isinstance(other, int):
+            raise TypeError("symbolic integer compared with a non-integer")
+        return (other + c - self.terms[0],) + tuple(map(neg, self.terms[1:]))
 
     def __ge__(self, other):
-        return self.path.holds(self - other)
+        return self.path.holds(self._minus(other, 0))
 
     def __le__(self, other):
-        return self.path.holds(other - self)
+        return self.path.holds(self._rminus(other, 0))
 
     def __gt__(self, other):
-        return self.path.holds(self - other - 1)
+        return self.path.holds(self._minus(other, -1))
 
     def __lt__(self, other):
-        return self.path.holds(other - self - 1)
+        return self.path.holds(self._rminus(other, -1))
 
     def __eq__(self, other):
         return self >= other and self <= other
@@ -441,22 +461,21 @@ class _Linear:
 class _Path:
     """One run of a statement: replays `choices`, then takes True at new branches."""
 
-    def __init__(self, choices, nvars, naturals):
+    def __init__(self, choices, units, naturals):
         self.choices, self.depth, self.known = choices, 0, {}
         self.naturals = naturals
-        units = [tuple(int(i == j) for j in range(nvars + 1)) for i in range(1, nvars + 1)]
         self.rows = list(units) if naturals else []
-        self.variables = [_Linear(u, self) for u in units]
 
-    def holds(self, form) -> bool:
-        """Whether form >= 0 on this path; a False is recorded as form <= -1."""
-        terms = form.terms
-        if not any(terms[1:]):
+    def holds(self, terms) -> bool:
+        """Whether the form with these terms is >= 0 on this path; a False is
+        recorded as form <= -1."""
+        coefficients = terms[1:]
+        if not any(coefficients):
             return terms[0] >= 0
         if self.naturals:  # signs alone decide it when every variable is >= 0
-            if terms[0] >= 0 and min(terms[1:]) >= 0:
+            if terms[0] >= 0 and min(coefficients) >= 0:
                 return True
-            if terms[0] < 0 and max(terms[1:]) <= 0:
+            if terms[0] < 0 and max(coefficients) <= 0:
                 return False
         if terms in self.known:  # the code may repeat a comparison
             return self.known[terms]
@@ -466,7 +485,7 @@ class _Path:
             self.choices.append(True)
         taken = self.known[terms] = self.choices[self.depth]
         self.depth += 1
-        self.rows.append(terms if taken else (-terms[0] - 1,) + tuple(-a for a in terms[1:]))
+        self.rows.append(terms if taken else (-terms[0] - 1,) + tuple(map(neg, coefficients)))
         return taken
 
 
@@ -476,38 +495,48 @@ def _tighten(row):
     The row keeps exactly its integer solutions (x < y becomes x <= y - 1).
     """
     g = math.gcd(*row[1:])
-    return row if g <= 1 else tuple(c // g for c in row)
+    return row if g <= 1 else tuple(map(g.__rfloordiv__, row))
 
 
 def _feasible(rows) -> bool:
-    """False only if no integer vector satisfies every row (Fourier-Motzkin)."""
+    """False only if no integer vector satisfies every row (Fourier-Motzkin).
+
+    Each round but the last eliminates one variable, so one round per column
+    suffices; running out of rounds answers True, which refutes nothing.
+    """
     rows = {_tighten(r) for r in rows}
-    while True:
+    for _ in range(len(next(iter(rows), ()))):
         if any(r[0] < 0 and not any(r[1:]) for r in rows):
             return False
-        live = [i for i in range(1, len(next(iter(rows), ()))) if any(r[i] for r in rows)]
+        # eliminate the variable whose bound pairs are fewest, the lowest on a tie
+        counts = [(sum(map((0).__lt__, column)), sum(map((0).__gt__, column)))
+                  for column in zip(*rows)]
+        live = [(above * below, i)
+                for i, (above, below) in enumerate(counts) if i and above | below]
         if not live:
-            return True
-        # eliminate the variable whose bound pairs are fewest
-        i = min(live, key=lambda i: sum(r[i] > 0 for r in rows) * sum(r[i] < 0 for r in rows))
+            break
+        i = min(live)[1]
         lower = [r for r in rows if r[i] > 0]
         upper = [r for r in rows if r[i] < 0]
         rows = {r for r in rows if r[i] == 0} | {
-            _tighten(tuple(-q[i] * a + p[i] * b for a, b in zip(p, q)))
+            _tighten(tuple(map(add, map((-q[i]).__mul__, p), map(p[i].__mul__, q))))
             for p in lower for q in upper}
+    return True
 
 
 def _proved(statement, nvars: int, naturals: bool = True) -> bool:
     """Whether statement(v1, ..., vn) is True for all naturals (or integers).
 
-    Paths are enumerated depth-first by replaying recorded choices.
+    Paths are enumerated depth-first by replaying recorded choices.  A path
+    does not hold its variables, so no cycle keeps it alive once it is done.
     """
+    units = [(0,) * i + (1,) + (0,) * (nvars - i) for i in range(1, nvars + 1)]
     pending = [[]]
     while pending:
-        path = _Path(pending.pop(), nvars, naturals)
+        path = _Path(pending.pop(), units, naturals)
         replayed = len(path.choices)
         try:
-            ok = statement(*path.variables)
+            ok = statement(*[_Linear(u, path) for u in units])
         except SemigroupError:
             ok = False
         pending.extend(path.choices[:j] + [False] for j in range(replayed, len(path.choices)))

@@ -1,6 +1,7 @@
 """Bicyclic monoid, Bruck-Reilly extensions, integer order, Baer-Levi model."""
 
 import functools
+import gc
 import itertools
 import math
 import random
@@ -143,6 +144,147 @@ def test_prover_caps_branches_per_path():
         return True
     with pytest.raises(RuntimeError):
         infinite._proved(countdown, 1)
+
+
+@pytest.mark.parametrize("suite, shape", [
+    ("bicyclic", (85, 38, 13)), ("bruck-reilly", (56, 32, 5)), ("z", (1, 0, 0))])
+def test_suite_search_shape_pinned(monkeypatch, suite, shape):
+    """Paths run, Fourier-Motzkin refutations and the deepest path of each suite.
+
+    These fix the prover's search, so a change to its arithmetic alone
+    leaves them as they are.
+    """
+    paths, verdicts = [], []
+    real_path, real_feasible = infinite._Path, infinite._feasible
+
+    class Path(real_path):
+        def __init__(self, *args):
+            super().__init__(*args)
+            paths.append(self)
+
+    def feasible(rows):
+        verdicts.append(real_feasible(rows))
+        return verdicts[-1]
+    monkeypatch.setattr(infinite, "_Path", Path)
+    monkeypatch.setattr(infinite, "_feasible", feasible)
+    assert all(c["pass"] for c in infinite.MODELS[suite]())
+    assert (len(paths), verdicts.count(False), max(p.depth for p in paths)) == shape
+
+
+# A linear expression: an int constant, ("v", i) for variable i, or an
+# operator ("+" | "-", e, e) or ("neg", e).
+_EXPRS = st.recursive(
+    st.integers(-5, 5) | st.tuples(st.just("v"), st.integers(0, 3)),
+    lambda e: st.tuples(st.sampled_from("+-"), e, e) | st.tuples(st.just("neg"), e),
+    max_leaves=8)
+
+
+def _symbols(nvars, choices=(), naturals=False):
+    """A path over nvars variables that replays choices, and its variables."""
+    units = [tuple(int(i == j) for j in range(nvars + 1)) for i in range(1, nvars + 1)]
+    path = infinite._Path(list(choices), units, naturals)
+    return path, [infinite._Linear(u, path) for u in units]
+
+
+def _evaluate(expr, xs):
+    if isinstance(expr, int):
+        return expr
+    op, *args = expr
+    if op == "v":
+        return xs[args[0] % len(xs)]
+    vals = [_evaluate(a, xs) for a in args]
+    return -vals[0] if op == "neg" else vals[0] + vals[1] if op == "+" else vals[0] - vals[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_EXPRS, st.lists(st.integers(0, 50), min_size=1, max_size=4))
+def test_linear_terms_match_int_arithmetic(expr, xs):
+    path, variables = _symbols(len(xs), naturals=True)
+    units = list(path.rows)
+    form = _evaluate(expr, variables)
+    terms = form.terms if isinstance(form, infinite._Linear) else (form,) + (0,) * len(xs)
+    assert terms[0] + sum(c * x for c, x in zip(terms[1:], xs)) == _evaluate(expr, xs)
+    assert path.rows == units  # arithmetic records nothing
+
+
+# (comparison of a and b over the integers, [(choices, result, rows recorded)]);
+# a row (c0, ca, cb) reads c0 + ca·a + cb·b >= 0
+_COMPARISONS = {
+    "<": (lambda a, b: a < b + 1,
+          [([True], True, [(0, -1, 1)]), ([False], False, [(-1, 1, -1)])]),
+    "<=": (lambda a, b: a <= b + 1,
+           [([True], True, [(1, -1, 1)]), ([False], False, [(-2, 1, -1)])]),
+    ">": (lambda a, b: a > b + 1,
+          [([True], True, [(-2, 1, -1)]), ([False], False, [(1, -1, 1)])]),
+    ">=": (lambda a, b: a >= b + 1,
+           [([True], True, [(-1, 1, -1)]), ([False], False, [(0, -1, 1)])]),
+    "==": (lambda a, b: a == b + 1,
+           [([True, True], True, [(-1, 1, -1), (1, -1, 1)]),
+            ([False], False, [(0, -1, 1)]),
+            ([True, False], False, [(-1, 1, -1), (-2, 1, -1)])]),
+    "int<": (lambda a, b: 1 < a, [([True], True, [(-2, 1, 0)]), ([False], False, [(1, -1, 0)])]),
+    "int<=": (lambda a, b: 1 <= a,
+              [([True], True, [(-1, 1, 0)]), ([False], False, [(0, -1, 0)])]),
+    "int>": (lambda a, b: 1 > a, [([True], True, [(0, -1, 0)]), ([False], False, [(-1, 1, 0)])]),
+    "int>=": (lambda a, b: 1 >= a,
+              [([True], True, [(1, -1, 0)]), ([False], False, [(-2, 1, 0)])]),
+    "int==": (lambda a, b: 1 == a,
+              [([True, True], True, [(-1, 1, 0), (1, -1, 0)]),
+               ([False], False, [(0, -1, 0)]),
+               ([True, False], False, [(-1, 1, 0), (-2, 1, 0)])]),
+}
+
+
+@pytest.mark.parametrize("compare, sides", _COMPARISONS.values(), ids=_COMPARISONS.keys())
+def test_comparison_records_rows(compare, sides):
+    for choices, result, rows in sides:
+        path, variables = _symbols(2, choices)
+        assert compare(*variables) is result
+        assert (path.rows, path.depth) == (rows, len(choices))
+
+
+@pytest.mark.parametrize("use", [
+    lambda a: a < 1.5, lambda a: 1.5 <= a, lambda a: a > 0.5, lambda a: a >= 0.5,
+    lambda a: a == 1.0, lambda a: 1.0 == a, lambda a: a + 1.5, lambda a: 1.5 - a])
+def test_linear_rejects_floats(use):
+    with pytest.raises(TypeError):
+        use(_symbols(1)[1][0])
+
+
+# systems of up to five rows over one to three variables, coefficients in -3..3
+_SYSTEMS = st.integers(1, 3).flatmap(
+    lambda k: st.lists(st.tuples(*[st.integers(-3, 3)] * (k + 1)), max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SYSTEMS)
+def test_feasible_whenever_a_box_point_satisfies(rows):
+    k = len(rows[0]) - 1 if rows else 0
+    box = itertools.product(range(-3, 4), repeat=k)
+    if any(all(r[0] + sum(map(math.prod, zip(r[1:], x))) >= 0 for r in rows) for x in box):
+        assert infinite._feasible(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [(-1, 1), (0, -1)],  # x >= 1 and x <= 0
+    [(-1, 2, -2), (1, -2, 2)],  # 2a - 2b - 1 = 0: only rational solutions, so tightening
+    [(-1, 0, 1), (0, 0, -1)],  # y >= 1 and y <= 0, x free
+    [(-1, -1, 1, 0), (-1, 0, -1, 1), (-1, 1, 0, -1)],  # x < y < z < x: two eliminations
+], ids=["bounds", "tightening", "free-variable", "cycle"])
+def test_feasible_refutes(rows):
+    assert not infinite._feasible(rows)
+
+
+def test_prover_paths_need_no_cycle_collection():
+    """A finished path is freed by reference counting alone."""
+    leq = infinite.bicyclic_leq
+    gc.collect()
+    gc.disable()
+    try:
+        assert infinite._bicyclic_law(lambda x, y: not (leq(x, y) and leq(y, x)) or x == y, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _suite(monkeypatch, name, fn):
@@ -297,10 +439,56 @@ def test_br_order_pullback():
     assert infinite.br_order_member(hi, hi)
 
 
+def _associative(mul):
+    return lambda x, y, z: mul(mul(x, y), z) == mul(x, mul(y, z))
+
+
+def test_bicyclic_mul_associative():
+    assert infinite._bicyclic_law(_associative(infinite.bicyclic_mul), 3)
+
+
+def _br_law(law, arity, theta):
+    """Prove law(x1, ..., x_arity) for all elements of the Bruck-Reilly
+    extension over theta: one proof per tuple of base elements."""
+    return all(infinite._proved(
+        lambda *v: law(*(BRElement(m, s, n, theta) for m, s, n in zip(v[::2], bases, v[1::2]))),
+        2 * arity) for bases in itertools.product(range(theta.base.order), repeat=arity))
+
+
+_C2_THETAS = {"theta_identity": (0, 1), "theta_constant": (0, 0)}
+
+
+@pytest.mark.parametrize("mapping", _C2_THETAS.values(), ids=_C2_THETAS.keys())
+def test_br_mul_associative(mapping):
+    assert _br_law(_associative(infinite.br_mul), 3, _theta(mapping))
+
+
+@pytest.mark.parametrize("mapping", _C2_THETAS.values(), ids=_C2_THETAS.keys())
+def test_br_pulled_back_order_closed_under_mul(mapping):
+    leq, mul = infinite.br_order_member, infinite.br_mul
+    assert _br_law(lambda x, y, xp, yp: not (leq(x, y) and leq(xp, yp))
+                   or leq(mul(x, xp), mul(y, yp)), 4, _theta(mapping))
+
+
+def test_br_associativity_refutes_swapped_exponents():
+    def mul(x, y):  # br_mul with its two θ exponents swapped
+        k = max(x.n, y.m)
+        power = functools.partial(infinite.theta_power, x.theta)
+        mid = x.theta.base.table[power(x.s, k - y.m)][power(y.s, k - x.n)]
+        return BRElement(x.m - x.n + k, mid, y.n - y.m + k, x.theta)
+    assert not _br_law(_associative(mul), 3, _theta((0, 0)))
+
+
 def test_zdiag():
     assert infinite.zdiag_member(2, 5)
     assert not infinite.zdiag_member(5, 2)
     assert all(infinite.zdiag_member(k, k) for k in range(-3, 4))
+
+
+def test_zdiag_closed_under_addition():
+    member = infinite.zdiag_member
+    assert infinite._proved(lambda x, y, a, b: not (member(x, y) and member(a, b))
+                            or member(x + a, y + b), 4, naturals=False)
 
 
 def test_apset_intersect_disjoint_residues():
