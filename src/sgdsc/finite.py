@@ -197,13 +197,9 @@ def greedy_generators(rows: Sequence[Sequence[int]]) -> list[int]:
     return [g // (n + 1) for g in codes]
 
 
-# reached flags 0 and 1 as the digits of a base-2 numeral
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
 def _pair_orbit(rows: Sequence[Sequence[int]], codes: Iterable[int],
                 allowed: Optional[Sequence[int]] = None
-                ) -> Optional[tuple[list[int], int]]:
+                ) -> Optional[tuple[list[int], bytearray]]:
     """Greedy generators of the pairs ``codes`` in S x S, and their right orbit.
 
     Pairs (x, y) are coded p = x*n + y.  A code not yet reached becomes a
@@ -213,9 +209,8 @@ def _pair_orbit(rows: Sequence[Sequence[int]], codes: Iterable[int],
     generators, so at the end the reached pairs are the subsemigroup they
     generate.  ``allowed`` is a relation as row bitsets, bit y of
     ``allowed[x]`` set for (x, y) in it, and holds the codes.  Returns the
-    generator codes and the reached pairs as a bitmask over their codes (the
-    rows laid end to end), or None as soon as a product falls outside
-    ``allowed``.
+    generator codes and the reached flags, one byte per code, or None as
+    soon as a product falls outside ``allowed``.
     """
     n = len(rows)
     reached = bytearray(n * n)
@@ -241,7 +236,7 @@ def _pair_orbit(rows: Sequence[Sequence[int]], codes: Iterable[int],
                         return None
                     reached[p] = 1
                     orbit.append((a, b))
-    return [z * n + w for (z, w) in gens], int(reached[::-1].translate(_DIGITS), 2)
+    return [z * n + w for (z, w) in gens], reached
 
 
 def _light_test(rows: Sequence[tuple[int, ...]], gens: Iterable[int]) -> bool:

@@ -293,7 +293,8 @@ class CoInjection:
         # image = pieces(N) - pieces(sources) + targets, so the complement is
         # the classes no piece hits, each hit class below its offset, and the
         # sources' piece values, less the targets
-        below = [v for o in self.offsets for v in range(o % self.stride, o, self.stride)]
+        below = [v for o in self.offsets if o >= self.stride  # else nothing is below o
+                 for v in range(o % self.stride, o, self.stride)]
         moved = [self.piece_apply(src) for src in sources]
         object.__setattr__(self, "complement", APSet._of_mask(
             self.stride, ((1 << self.stride) - 1) ^ hit, below + moved, targets))
@@ -375,15 +376,17 @@ def baer_levi_witness() -> dict:
 # Exact prover for statements in linear integer arithmetic
 #
 # A statement is run on symbolic integers.  Each comparison the code makes
-# is a branch, unless it is constant or, over the naturals, fixed by signs;
+# is a branch, unless it is constant, fixed by signs over the naturals, or
+# implied either way by the best bound the path has on its coefficients;
 # a path is the list of choices taken, and each choice adds one constraint
 # row (c0, c1, ..., cn), meaning c0 + c1·v1 + ... >= 0.  The statement holds
 # when every path on which it returns False or raises SemigroupError is
 # infeasible, shown by Fourier-Motzkin elimination.  A comparison builds one
-# coefficient tuple, with map over the operands' terms, and elimination
-# picks the variable with the fewest bound pairs.
+# coefficient tuple, with map over the operands' terms.  Elimination keeps
+# the strongest row per coefficient vector and picks the variable whose
+# elimination adds the fewest rows.
 
-_MAX_BRANCHES = 256  # the deepest path of a suite law takes 13
+_MAX_BRANCHES = 256  # decided comparisons take none; the deepest suite path takes 13
 
 
 class _Linear:
@@ -462,7 +465,7 @@ class _Path:
     """One run of a statement: replays `choices`, then takes True at new branches."""
 
     def __init__(self, choices, units, naturals):
-        self.choices, self.depth, self.known = choices, 0, {}
+        self.choices, self.depth, self.bounds = choices, 0, {}
         self.naturals = naturals
         self.rows = list(units) if naturals else []
 
@@ -477,15 +480,27 @@ class _Path:
                 return True
             if terms[0] < 0 and max(coefficients) <= 0:
                 return False
-        if terms in self.known:  # the code may repeat a comparison
-            return self.known[terms]
+        # a recorded row k + c·v >= 0 decides c·v >= -t0 when k <= t0, and
+        # k - c·v >= 0 decides it False when k + t0 < 0
+        bounds = self.bounds
+        known = bounds.get(coefficients)
+        if known is not None and known <= terms[0]:
+            return True
+        negated = tuple(map(neg, coefficients))
+        known = bounds.get(negated)
+        if known is not None and known + terms[0] < 0:
+            return False
         if self.depth == len(self.choices):
             if self.depth == _MAX_BRANCHES:  # e.g. a loop on a symbolic bound
                 raise RuntimeError(f"more than {_MAX_BRANCHES} branches on one path")
             self.choices.append(True)
-        taken = self.known[terms] = self.choices[self.depth]
+        taken = self.choices[self.depth]
         self.depth += 1
-        self.rows.append(terms if taken else (-terms[0] - 1,) + tuple(map(neg, coefficients)))
+        row = terms if taken else (-terms[0] - 1,) + negated
+        self.rows.append(row)
+        coefficients = row[1:]
+        if coefficients not in bounds or row[0] < bounds[coefficients]:
+            bounds[coefficients] = row[0]
         return taken
 
 
@@ -501,26 +516,36 @@ def _tighten(row):
 def _feasible(rows) -> bool:
     """False only if no integer vector satisfies every row (Fourier-Motzkin).
 
-    Each round but the last eliminates one variable, so one round per column
-    suffices; running out of rounds answers True, which refutes nothing.
+    The system keeps, per coefficient vector, the row with the least
+    constant; a constant row below zero, or a row and its opposite whose
+    constants sum below zero, refutes it.  Each round eliminates one
+    variable, so the rows run out after at most one round per column;
+    running out answers True, which refutes nothing.
     """
-    rows = {_tighten(r) for r in rows}
+    system = {}
     for _ in range(len(next(iter(rows), ()))):
-        if any(r[0] < 0 and not any(r[1:]) for r in rows):
-            return False
-        # eliminate the variable whose bound pairs are fewest, the lowest on a tie
+        for row in map(_tighten, rows):
+            coefficients = row[1:]
+            if not any(coefficients):
+                if row[0] < 0:
+                    return False
+            elif coefficients not in system or row[0] < system[coefficients][0]:
+                opposite = system.get(tuple(map(neg, coefficients)))
+                if opposite is not None and row[0] + opposite[0] < 0:
+                    return False
+                system[coefficients] = row
+        if not system:
+            return True
+        # eliminate the variable that adds the fewest rows net, the lowest on a tie
         counts = [(sum(map((0).__lt__, column)), sum(map((0).__gt__, column)))
-                  for column in zip(*rows)]
-        live = [(above * below, i)
-                for i, (above, below) in enumerate(counts) if i and above | below]
-        if not live:
-            break
-        i = min(live)[1]
-        lower = [r for r in rows if r[i] > 0]
-        upper = [r for r in rows if r[i] < 0]
-        rows = {r for r in rows if r[i] == 0} | {
-            _tighten(tuple(map(add, map((-q[i]).__mul__, p), map(p[i].__mul__, q))))
-            for p in lower for q in upper}
+                  for column in zip(*system)]
+        i = min((above * below - above - below, i)
+                for i, (above, below) in enumerate(counts, 1) if above | below)[1]
+        lower = [r for r in system.values() if r[i] > 0]
+        upper = [r for r in system.values() if r[i] < 0]
+        system = {c: r for c, r in system.items() if not r[i]}
+        rows = [tuple(map(add, map((-q[i]).__mul__, p), map(p[i].__mul__, q)))
+                for p in lower for q in upper]
     return True
 
 

@@ -147,7 +147,7 @@ def test_prover_caps_branches_per_path():
 
 
 @pytest.mark.parametrize("suite, shape", [
-    ("bicyclic", (85, 38, 13)), ("bruck-reilly", (56, 32, 5)), ("z", (1, 0, 0))])
+    ("bicyclic", (68, 31, 13)), ("bruck-reilly", (36, 18, 3)), ("z", (1, 0, 0))])
 def test_suite_search_shape_pinned(monkeypatch, suite, shape):
     """Paths run, Fourier-Motzkin refutations and the deepest path of each suite.
 
@@ -243,6 +243,21 @@ def test_comparison_records_rows(compare, sides):
         assert (path.rows, path.depth) == (rows, len(choices))
 
 
+def test_recorded_bound_decides_implied_comparisons():
+    path, (a, b) = _symbols(2)
+    assert a - b >= 2
+    assert a - b >= 1  # implied by the recorded row
+    assert not b - a >= -1  # contradicts it
+    assert (path.rows, path.depth) == ([(-2, 1, -1)], 1)
+
+
+def test_weaker_recorded_bound_still_branches():
+    path, (a, b) = _symbols(2)
+    assert a - b >= 1
+    assert a - b >= 2
+    assert (path.rows, path.depth) == ([(-1, 1, -1), (-2, 1, -1)], 2)
+
+
 @pytest.mark.parametrize("use", [
     lambda a: a < 1.5, lambda a: 1.5 <= a, lambda a: a > 0.5, lambda a: a >= 0.5,
     lambda a: a == 1.0, lambda a: 1.0 == a, lambda a: a + 1.5, lambda a: 1.5 - a])
@@ -270,7 +285,10 @@ def test_feasible_whenever_a_box_point_satisfies(rows):
     [(-1, 2, -2), (1, -2, 2)],  # 2a - 2b - 1 = 0: only rational solutions, so tightening
     [(-1, 0, 1), (0, 0, -1)],  # y >= 1 and y <= 0, x free
     [(-1, -1, 1, 0), (-1, 0, -1, 1), (-1, 1, 0, -1)],  # x < y < z < x: two eliminations
-], ids=["bounds", "tightening", "free-variable", "cycle"])
+    [(-1, 1, -1), (0, -1, 1)],  # x > y and y >= x: an opposite pair
+    # x - y >= 0, >= 3, >= 1 and x - y <= 2: only the strongest of the first three refutes
+    [(0, 1, -1), (-3, 1, -1), (-1, 1, -1), (2, -1, 1)],
+], ids=["bounds", "tightening", "free-variable", "cycle", "opposite-pair", "same-coefficients"])
 def test_feasible_refutes(rows):
     assert not infinite._feasible(rows)
 
