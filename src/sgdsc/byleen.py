@@ -262,21 +262,12 @@ def b_act(m: TwoTransitiveMatrix, s: int, b: BLetter) -> BLetter:
     return BLetter(b.n, m.base.table[s][b.s])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NormalForm:
     v: tuple[BLetter, ...]
     s: int
     u: tuple[ALetter, ...]
     mat: TwoTransitiveMatrix
-
-    def __eq__(self, other):
-        if not isinstance(other, NormalForm):
-            return NotImplemented
-        return (self.mat is other.mat and self.v == other.v
-                and self.s == other.s and self.u == other.u)
-
-    def __hash__(self):
-        return hash((self.v, self.s, self.u, id(self.mat)))
 
     def is_identity(self) -> bool:
         return not self.v and not self.u and self.s == self.mat.identity

@@ -157,7 +157,7 @@ def cmd_witness(args) -> int:
 # ---------------------------------------------------------------------------
 # sg byleen
 
-_TOKEN = re.compile(r"^(?:([ab])\((\d+),s(\d+)\)|s(\d+)|1)$")
+_TOKEN = re.compile(r"^(?:([ab])\(([0-9]+),s([0-9]+)\)|s([0-9]+)|1)$")
 _BYLEEN_WORDS = {"eval": 1, "mul": 2, "span": 4, "inverse": 1}
 
 

@@ -190,16 +190,15 @@ def greedy_generators(rows: Sequence[Sequence[int]]) -> list[int]:
 
     Since the diagonal {(x, x)} is a copy of S, this is the orbit of
     ``_pair_orbit`` over the diagonal pairs, coded x*(n + 1); relations runs
-    the same orbit for the closure test and the closed-set enumerator.
+    the same orbit for the closed-set enumerator.
     """
     n = len(rows)
     codes, _ = _pair_orbit(rows, range(0, n * n, n + 1))
     return [g // (n + 1) for g in codes]
 
 
-def _pair_orbit(rows: Sequence[Sequence[int]], codes: Iterable[int],
-                allowed: Optional[Sequence[int]] = None
-                ) -> Optional[tuple[list[int], bytearray]]:
+def _pair_orbit(rows: Sequence[Sequence[int]], codes: Iterable[int]
+                ) -> tuple[list[int], bytearray]:
     """Greedy generators of the pairs ``codes`` in S x S, and their right orbit.
 
     Pairs (x, y) are coded p = x*n + y.  A code not yet reached becomes a
@@ -207,10 +206,8 @@ def _pair_orbit(rows: Sequence[Sequence[int]], codes: Iterable[int],
     pairs by every generator (Froidure & Pin's right Cayley graph
     enumeration).  The orbit holds the left-bracketed products of the
     generators, so at the end the reached pairs are the subsemigroup they
-    generate.  ``allowed`` is a relation as row bitsets, bit y of
-    ``allowed[x]`` set for (x, y) in it, and holds the codes.  Returns the
-    generator codes and the reached flags, one byte per code, or None as
-    soon as a product falls outside ``allowed``.
+    generate.  Returns the generator codes and the reached flags, one byte
+    per code.
     """
     n = len(rows)
     reached = bytearray(n * n)
@@ -231,11 +228,8 @@ def _pair_orbit(rows: Sequence[Sequence[int]], codes: Iterable[int],
             for (z, w) in (new if i < old else gens):
                 p = tx[z] * n + ty[w]
                 if not reached[p]:
-                    a, b = divmod(p, n)
-                    if allowed is not None and not allowed[a] >> b & 1:
-                        return None
                     reached[p] = 1
-                    orbit.append((a, b))
+                    orbit.append(divmod(p, n))
     return [z * n + w for (z, w) in gens], reached
 
 

@@ -65,27 +65,32 @@ class PairSet:
         return axiom_report(self.subject, self)
 
 
+_AXIOMS = ("contains_diagonal", "is_subsemigroup", "is_symmetric", "is_transitive")
+
+
+def _holds(axiom: str) -> property:
+    return property(lambda self: axiom not in self.violations,
+                    doc=f"Whether {axiom} holds: no violation of it is recorded.")
+
+
 @dataclass(frozen=True)
 class AxiomReport:
-    contains_diagonal: bool
-    is_subsemigroup: bool
-    is_symmetric: bool
-    is_transitive: bool
+    """The first violation of each congruence axiom that fails, keyed by the
+    axiom's name; an axiom holds exactly when its key is absent."""
     violations: dict
+
+    contains_diagonal = _holds("contains_diagonal")
+    is_subsemigroup = _holds("is_subsemigroup")
+    is_symmetric = _holds("is_symmetric")
+    is_transitive = _holds("is_transitive")
 
     @property
     def is_congruence(self) -> bool:
-        return (self.contains_diagonal and self.is_subsemigroup
-                and self.is_symmetric and self.is_transitive)
+        return not self.violations
 
     def as_dict(self) -> dict:
-        return {
-            "contains_diagonal": self.contains_diagonal,
-            "is_subsemigroup": self.is_subsemigroup,
-            "is_symmetric": self.is_symmetric,
-            "is_transitive": self.is_transitive,
-            "violations": {k: list(v) for k, v in sorted(self.violations.items())},
-        }
+        return {**{axiom: axiom not in self.violations for axiom in _AXIOMS},
+                "violations": {k: list(v) for k, v in sorted(self.violations.items())}}
 
 
 def _pair_set(s: FiniteSemigroup, mask: int) -> PairSet:
@@ -97,40 +102,35 @@ def _pair_set(s: FiniteSemigroup, mask: int) -> PairSet:
 def axiom_report(s: FiniteSemigroup, rho: PairSet) -> AxiomReport:
     """Check the four congruence axioms independently, recording first violations.
 
-    Symmetry and transitivity compare rows: symmetry reads rho's pairs in
-    sorted order up to the first asymmetric one, and transitivity tests each
-    distinct row once, at its first x.  Closure of a preorder (reflexive and
-    transitive) is _preorder_closed over S's generators; of any other rho it
-    is finite._pair_orbit over its pairs with rho's rows as the allowed
-    relation: if the right orbit of their greedy generators G stays inside
-    rho it reaches all of rho, so rho = <G> is closed.  Only a rho that is
-    not closed lists its pairs and runs the lexicographic double loop that
-    names the first failing (x, y, z, w).
+    Each axiom is one scan that stops at its first violation.  Symmetry reads
+    rho's pairs in sorted order; transitivity compares rows, each distinct
+    row once (_first_intransitive).  Closure of a preorder (reflexive and
+    transitive) is _preorder_closed over S's generators.  Any other rho, or
+    a preorder that is not closed, runs the lexicographic double loop over
+    its pairs, which names the first failing (x, y, z, w) or finds none.
     """
     n, t = s.order, s.table
     if rho.subject.order != n:
         raise finite.SemigroupError(f"relation on order {rho.subject.order} checked on order {n}")
     rows = rho.rows
-    violations: dict = {}
+    found = {
+        "contains_diagonal": next(((x, x) for x in range(n) if not rows[x] >> x & 1), None),
+        "is_symmetric": next(((x, y) for (x, y) in rho if not rows[y] >> x & 1), None),
+        "is_transitive": _first_intransitive(rows),
+    }
+    preorder = found["contains_diagonal"] is None and found["is_transitive"] is None
+    if not (preorder and _preorder_closed(s, rows)):
+        pairs = list(rho)
+        found["is_subsemigroup"] = next(
+            ((x, y, z, w) for (x, y) in pairs for (z, w) in pairs
+             if not rows[t[x][z]] >> t[y][w] & 1), None)
+    return AxiomReport({k: v for k, v in found.items() if v is not None})
 
-    diag_ok = True
-    for x in range(n):
-        if not rows[x] >> x & 1:
-            diag_ok = False
-            violations["contains_diagonal"] = (x, x)
-            break
 
-    sym_ok = True
-    for (x, y) in rho:
-        if not rows[y] >> x & 1:
-            sym_ok = False
-            violations["is_symmetric"] = (x, y)
-            break
-
-    # the first failure is the first (x, y) in order with a z in row y but
-    # not in row x, taken smallest; elements sharing a row fail alike, so
-    # only the first of them is tested
-    trans_ok = True
+def _first_intransitive(rows: Sequence[int]) -> Optional[tuple[int, int, int]]:
+    """The first (x, y, z) in order with (x, y) and (y, z) in the relation
+    but (x, z) not, z smallest, or None when it is transitive.  Elements
+    sharing a row fail alike, so only the first of them is tested."""
     tested: set[int] = set()
     for x, row in enumerate(rows):
         if row in tested:
@@ -142,24 +142,9 @@ def axiom_report(s: FiniteSemigroup, rho: PairSet) -> AxiomReport:
             y = low.bit_length() - 1
             missing = rows[y] & ~row
             if missing:
-                trans_ok = False
-                violations["is_transitive"] = (x, y, (missing & -missing).bit_length() - 1)
-                break
+                return x, y, (missing & -missing).bit_length() - 1
             ys ^= low
-        if not trans_ok:
-            break
-
-    if diag_ok and trans_ok:
-        sub_ok = _preorder_closed(s, rows)
-    else:
-        sub_ok = finite._pair_orbit(t, [x * n + y for (x, y) in rho], rows) is not None
-    if not sub_ok:
-        pairs = list(rho)
-        violations["is_subsemigroup"] = next(
-            (x, y, z, w) for (x, y) in pairs for (z, w) in pairs
-            if not rows[t[x][z]] >> t[y][w] & 1)
-
-    return AxiomReport(diag_ok, sub_ok, sym_ok, trans_ok, violations)
+    return None
 
 
 def _preorder_closed(s: FiniteSemigroup, rows: Sequence[int]) -> bool:

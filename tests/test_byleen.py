@@ -361,6 +361,10 @@ def test_nf_mul_matrix_mismatch():
     m2 = byleen.TwoTransitiveMatrix(finite.cyclic_group(2))
     with pytest.raises(byleen.MatrixMismatch):
         byleen.nf_mul(byleen.identity_nf(m1), byleen.identity_nf(m2))
+    # forms compare their matrices by identity
+    assert byleen.identity_nf(m1) != byleen.identity_nf(m2)
+    assert byleen.identity_nf(m1) == byleen.a_word_nf(m1, ())
+    assert hash(byleen.identity_nf(m1)) == hash(byleen.a_word_nf(m1, ()))
 
 
 def test_a_words_closed_under_multiplication(mat):

@@ -469,6 +469,10 @@ def test_byleen_parse_error(capsys):
     assert "error" in json.loads(err)
     code, _, _ = run(capsys, ["byleen", "eval", "s7"])  # base element out of range
     assert code == 2
+    for word in ["a(\u0663,s0)", "s\u0663"]:  # an Arabic-Indic 3 is not a digit here
+        code, out, err = run(capsys, ["byleen", "eval", word])
+        assert code == 2 and out == ""
+        assert "error" in json.loads(err)
 
 
 def test_byleen_trivial_base(capsys):

@@ -411,12 +411,10 @@ def test_axiom_report_matches_double_loops(subject_rho):
     rep = relations.axiom_report(s, rho)
     assert {k: getattr(rep, k) for k in flags} == flags
     assert rep.violations == violations
-    # axiom_report tests a preorder's closure per generator, any other's by the orbit
-    n = s.order
-    closed = finite._pair_orbit(s.table, [x * n + y for (x, y) in rho], rho.rows) is not None
-    assert closed == flags["is_subsemigroup"]
+    # axiom_report tests a preorder's closure per generator, any other's by
+    # the double loop that names its first failing product
     if flags["contains_diagonal"] and flags["is_transitive"]:
-        assert relations._preorder_closed(s, rho.rows) == closed
+        assert relations._preorder_closed(s, rho.rows) == flags["is_subsemigroup"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -508,6 +506,15 @@ def test_closed_set_enumerator_matches_subset_scan():
 @given(order_4)
 def test_closed_set_enumerator_matches_subset_scan_order_4(s):
     check_subset_scan(s)
+
+
+def test_axiom_report_finds_every_closed_mask_closed_orders_1_to_3():
+    # many of these relations are not preorders, so axiom_report's double
+    # loop decides their closure against the pair orbit that closed them
+    for s in (s for n in (1, 2, 3) for s in finite.enumerate_semigroups(n)):
+        for mask in relations._closed_masks(s):
+            rep = relations.axiom_report(s, relations._pair_set(s, mask))
+            assert rep.contains_diagonal and rep.is_subsemigroup
 
 
 # each relation also fails every axiom checked after the one named

@@ -7,9 +7,10 @@ from sgdsc import finite, relations
 import constructions
 
 
-def test_axiom_report_multiplies_reached_pairs_by_later_generators():
-    # (0,2)·(1,1) = (0,1) leaves rho; only multiplying (0,2), reached before
-    # (1,1) became a generator, by that generator finds it
+def test_axiom_report_names_the_first_product_outside_a_preorder():
+    # rho is a preorder, and (0,2)·(1,1) = (0,1) leaves it: row 0 = {0, 2}
+    # times the generator 1 is {0, 1}, outside row 0·1 = row 0, so
+    # _preorder_closed fails and the double loop names the product
     s = finite.validate_cayley(3, [[0, 0, 0], [0, 0, 0], [0, 1, 2]])
     rho = relations.PairSet.from_pairs(s, [(0, 0), (0, 2), (1, 1), (2, 2)])
     rep = relations.axiom_report(s, rho)
