@@ -10,7 +10,6 @@ import os
 import re
 import sys
 import time
-from typing import Optional
 
 from . import byleen, finite, infinite, relations
 
@@ -23,13 +22,6 @@ def _error(message: str, code: int = 2) -> int:
     """Print {"error": message} on stderr and return the exit code."""
     print(json.dumps({"error": message}), file=sys.stderr)
     return code
-
-
-def _report(subject, checks, timing: Optional[float]) -> dict:
-    rep = {"subject": subject, "checks": checks}
-    if timing is not None:
-        rep["timing"] = timing
-    return rep
 
 
 # ValueError: bad JSON or bytes that are not UTF-8; RecursionError: JSON nested
@@ -87,8 +79,10 @@ def cmd_check(args) -> int:
             add("dsc_brute", ok,
                 None if ok else {"pairs": witness.sorted_pairs()})
 
-    timing = round(time.perf_counter() - t0, 6) if args.timing else None
-    _emit(_report({"path": args.path, "order": s.order}, checks, timing), args.pretty)
+    rep = {"subject": {"path": args.path, "order": s.order}, "checks": checks}
+    if args.timing:
+        rep["timing"] = round(time.perf_counter() - t0, 6)
+    _emit(rep, args.pretty)
     if args.strict and any(not c["pass"] for c in checks):
         return 1
     return 0

@@ -3,7 +3,11 @@
 Elements are dense integer indices 0..order-1; names are display-only.
 Everything here is immutable after construction and safe to share.  A
 table's derived structure (generators, Cayley graphs, Green's classes, its
-least ideal) is computed on first use and kept by that table object.
+kernel) is computed on first use and kept by that table object.  The
+simplicity and group tests read that structure, not the table: the kernel
+(least ideal) is the first J-class Tarjan's search closes, S is simple when
+the kernel is all of S, and a group when it is simple with one R-class and
+one L-class.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ class FiniteSemigroup:
 
     # The table's analysis.  Each part is computed on first use and kept by
     # this object, so the predicates and witness_non_dsc all read one
-    # generating set, one set of Cayley graphs, one GreensData and one ideal,
+    # generating set, one pair of Cayley graphs, one GreensData and one kernel,
     # and what a caller never asks for is never computed.
 
     @functools.cached_property
@@ -63,59 +67,47 @@ class FiniteSemigroup:
         return greedy_generators(self.table)
 
     @functools.cached_property
-    def _cayley_graphs(self) -> tuple[list[tuple[int, ...]], ...]:
-        """Right, left and two-sided Cayley graphs over the generating set G:
-        x -> xg, x -> gx and both.
+    def _cayley_graphs(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """Right and left Cayley graphs over the generating set G: x -> xg and
+        x -> gx.
 
-        By associativity, what x reaches in them is xS^1, S^1x and S^1xS^1.
+        By associativity, what x reaches in them is xS^1 and S^1x, and in
+        their union S^1xS^1.
         """
         t, gens = self.table, self._generators
         cols = list(zip(*t))
         right = list(zip(*(cols[g] for g in gens)))
         left = list(zip(*(t[g] for g in gens)))
-        return right, left, [a + b for a, b in zip(right, left)]
+        return right, left
 
     @functools.cached_property
     def _j_components(self) -> list[int]:
         """Strongly connected components of the two-sided Cayley graph."""
-        return _scc(self._cayley_graphs[2])
+        right, left = self._cayley_graphs
+        return _scc([a + b for a, b in zip(right, left)])
 
     @functools.cached_property
     def _greens(self) -> GreensData:
         """R, L and J as strongly connected components of the right, left and
         two-sided Cayley graphs; H = R∧L."""
-        right, left, _ = self._cayley_graphs
-        r, l = (_classes_from_keys(_scc(graph)) for graph in (right, left))
+        r, l = (_classes_from_keys(_scc(graph)) for graph in self._cayley_graphs)
         j = _classes_from_keys(self._j_components)
         h = _classes_from_keys([(r[x], l[x]) for x in range(self.order)])
         return GreensData(r, l, j, h)
 
     @functools.cached_property
     def _proper_ideal(self) -> Optional[frozenset[int]]:
-        """Smallest proper principal two-sided ideal, ties broken by smallest generator.
+        """The kernel, S's least ideal, when it is proper; None when S is simple.
 
-        S^1xS^1 is what x reaches in the two-sided Cayley graph: one bitset per
-        strongly connected component, filled in reverse topological order.
+        Every element reaches the kernel in the two-sided Cayley graph, so it
+        is the graph's only sink: J-component 0, the first Tarjan closes.
+        Every principal ideal contains it, so it is also the smallest proper
+        principal ideal.
         """
-        n = self.order
-        succ = self._cayley_graphs[2]
         comp = self._j_components
-        reach = [0] * (max(comp) + 1)
-        for x in sorted(range(n), key=comp.__getitem__):
-            cx = comp[x]
-            bits = reach[cx] | 1 << x
-            for y in succ[x]:
-                if comp[y] != cx:
-                    bits |= reach[comp[y]]
-            reach[cx] = bits
-        best = None
-        for x in range(n):
-            size = reach[comp[x]].bit_count()
-            if size < n and (best is None or size < best[0]):
-                best = (size, reach[comp[x]])
-        if best is None:
+        if max(comp) == 0:
             return None
-        return frozenset(x for x in range(n) if best[1] >> x & 1)
+        return frozenset(x for x, c in enumerate(comp) if c == 0)
 
     @functools.cached_property
     def _identity(self) -> Optional[int]:
@@ -128,10 +120,14 @@ class FiniteSemigroup:
 
     @functools.cached_property
     def _is_group(self) -> bool:
-        """A monoid whose every row is a permutation: then each x has a y with
-        xy = 1, and in a finite monoid xy = 1 implies yx = 1."""
-        return self._identity is not None \
-            and all(len(set(row)) == self.order for row in self.table)
+        """Simple, with one R-class and one L-class: then S is a single
+        H-class, which holds an idempotent as S is finite, so S is a group
+        (Green's theorem).  Simplicity is read first, so a table with a
+        proper ideal never computes its Green's classes."""
+        if self._proper_ideal is not None:
+            return False
+        gd = self._greens
+        return max(gd.r_class) == max(gd.l_class) == 0
 
 
 def validate_cayley(order: int,
@@ -360,12 +356,13 @@ def greens(s: FiniteSemigroup) -> GreensData:
 # Structural predicates
 
 def is_simple(s: FiniteSemigroup) -> bool:
-    """One J-class: the two-sided Cayley graph is strongly connected."""
-    return len(set(s._j_components)) == 1
+    """One J-class: the kernel is all of S."""
+    return s._proper_ideal is None
 
 
 def proper_ideal(s: FiniteSemigroup) -> Optional[frozenset[int]]:
-    """Smallest proper principal two-sided ideal, ties broken by smallest generator."""
+    """The kernel (least two-sided ideal) when S is not simple, else None.
+    It is also the smallest proper principal ideal."""
     return s._proper_ideal
 
 

@@ -160,7 +160,6 @@ def _preorder_closed(s: FiniteSemigroup, rows: Sequence[int]) -> bool:
     (xg, xg) is in the relation.
     """
     n = s.order
-    right, left, _ = s._cayley_graphs
     xs_of: dict[int, list[int]] = {}
     for x, row in enumerate(rows):
         if row != 1 << x:
@@ -169,7 +168,7 @@ def _preorder_closed(s: FiniteSemigroup, rows: Sequence[int]) -> bool:
     # each row holds x and one more element, so itemgetter returns a tuple
     gets = [(operator.itemgetter(*(y for y in range(n) if row >> y & 1)), xs)
             for row, xs in xs_of.items()]
-    for graph in (right, left):
+    for graph in s._cayley_graphs:  # right, then left
         for image_of in zip(*graph):  # image_of[y] = yg, or gy on the left graph
             for get, xs in gets:
                 image = sum(map(bit.__getitem__, set(get(image_of))))
@@ -244,7 +243,7 @@ def is_dsc_fast(s: FiniteSemigroup) -> bool:
 def witness_non_dsc(s: FiniteSemigroup) -> tuple[PairSet, tuple[int, int], str]:
     """A verified diagonal subsemigroup of S x S that is not symmetric.
 
-    Non-simple S: rho = I x S ∪ Δ for the smallest proper principal ideal I.
+    Non-simple S: rho = K x S ∪ Δ for the kernel K, S's least ideal.
     Simple non-group S (hence completely simple): all H-related pairs, plus
     the cross-pairs from R-class 0 to R-class 1 within a common L-class;
     dual over L-classes when there is a single R-class.  Class ids number

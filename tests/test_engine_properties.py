@@ -121,12 +121,18 @@ def diagonal_subsemigroups(s):
             yield rho
 
 
+def identity_oracle(s):
+    """The e with ex = xe = x for every x, or None."""
+    t, n = s.table, s.order
+    return next((e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n))),
+                None)
+
+
 def group_oracle(s):
     """A two-sided identity e, and for every x a y with xy = yx = e."""
-    t, n = s.table, s.order
-    ids = [e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n))]
-    return bool(ids) and all(any(t[x][y] == ids[0] == t[y][x] for y in range(n))
-                             for x in range(n))
+    t, n, e = s.table, s.order, identity_oracle(s)
+    return e is not None and all(any(t[x][y] == e == t[y][x] for y in range(n))
+                                 for x in range(n))
 
 
 def inverse_oracle(s):
@@ -468,6 +474,11 @@ def test_constructed_semigroups_match_oracles(s):
 @given(semigroups(max_order=12))
 def test_is_inverse_matches_definition(s):
     assert finite.is_inverse(s) == inverse_oracle(s)
+
+
+def test_identity_index_matches_definition_orders_1_to_4():
+    for s in tables_up_to_4():
+        assert finite.identity_index(s) == identity_oracle(s)
 
 
 def test_is_inverse_and_is_group_match_definitions_orders_1_to_4():

@@ -125,6 +125,25 @@ def test_witness_rees_l_strategy():
     assert (failing[1], failing[0]) not in frozenset(ps)
 
 
+# the chain, the null semigroup and C2 with a zero adjoined each have a proper
+# ideal, which decides both the group test and the witness
+_NON_SIMPLE = {
+    "chain8": [[min(i, j) for j in range(8)] for i in range(8)],
+    "null8": [[0] * 8 for _ in range(8)],
+    "C2^0": [[0, 1, 2], [1, 0, 2], [2, 2, 2]],
+}
+
+
+@pytest.mark.parametrize("rows", _NON_SIMPLE.values(), ids=list(_NON_SIMPLE))
+def test_non_simple_tables_never_compute_greens_classes(rows):
+    s = finite.validate_cayley(len(rows), rows)
+    assert not finite.is_group(s)
+    assert "_greens" not in vars(s)
+    _, _, strategy = relations.witness_non_dsc(s)
+    assert strategy == "ideal"
+    assert "_greens" not in vars(s)
+
+
 def test_witness_rejects_groups():
     with pytest.raises(relations.IsGroup):
         relations.witness_non_dsc(constructions.klein_four())

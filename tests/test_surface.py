@@ -97,3 +97,16 @@ def test_finite_imports_nothing_from_relations():
             assert not any(alias.name == "relations" for alias in node.names)
         elif isinstance(node, ast.Import):
             assert not any(alias.name.endswith("relations") for alias in node.names)
+
+
+def test_simplicity_and_group_tests_read_no_table_row():
+    """The kernel, the J-components, Green's classes and the group test are
+    read off the Cayley graphs, never off ``self.table``."""
+    tree = ast.parse((LIB / "finite.py").read_text(encoding="utf-8"))
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "FiniteSemigroup")
+    methods = {node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)}
+    for name in ("_is_group", "_proper_ideal", "_j_components", "_greens"):
+        assert not any(isinstance(node, ast.Attribute) and node.attr == "table"
+                       and isinstance(node.value, ast.Name) and node.value.id == "self"
+                       for node in ast.walk(methods[name])), name
