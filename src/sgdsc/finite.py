@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 # Largest order from_json accepts; checked before any table loop runs.  Light's
-# test costs |G|·n^2 for a generating set G: up to order 256 as bytes.translate
-# calls, above that as n-entry itemgetter gathers, so a table of rank n at this
-# cap (LZ_1024) takes tens of seconds to validate.
+# test costs |G|·d·n for a generating set G and d distinct rows: up to order 256
+# as bytes.translate calls, above that as n-entry itemgetter gathers.  So a
+# table of rank n with all rows distinct at this cap (LZ_1024) takes tens of
+# seconds to validate, and one with a single distinct row (RZ_1024) under one.
 MAX_ORDER = 1024
 
 
@@ -140,8 +141,9 @@ def validate_cayley(order: int,
     g in G and all x, y, which costs |G|·order^2 instead of order^3 (on
     bytes up to order 256).  The elements passing it for all x, y form a
     subset closed under the product, so once G passes, every product of
-    generators -- all of S -- does too.  On failure the full triple scan
-    names the lexicographically first triple.
+    generators -- all of S -- does too.  On failure the same row scan over
+    every element names the first failing (x, g), and the first column where
+    the rows differ completes the lexicographically first triple.
     """
     if type(order) is not int or order < 1:
         raise SemigroupError("order must be a positive integer")
@@ -159,8 +161,10 @@ def validate_cayley(order: int,
             _raise_first_bad_entry(row, order)
     rows = tuple(tuple(row) for row in table)
     gens = greedy_generators(rows)
-    if not (_light_test_bytes if order <= 256 else _light_test)(rows, gens):
-        _raise_first_non_associative(rows)
+    if _first_non_associative(rows, gens) is not None:
+        x, g = _first_non_associative(rows, range(order))
+        rxg, rx, rg = rows[rows[x][g]], rows[x], rows[g]
+        raise NonAssociative(x, g, next(y for y in range(order) if rxg[y] != rx[rg[y]]))
     if names is None:
         names = [f"x{i}" for i in range(order)]
     if not isinstance(names, (list, tuple)) or not all(isinstance(nm, str) for nm in names):
@@ -229,39 +233,40 @@ def _pair_orbit(rows: Sequence[Sequence[int]], codes: Iterable[int]
     return [z * n + w for (z, w) in gens], reached
 
 
-def _light_test(rows: Sequence[tuple[int, ...]], gens: Iterable[int]) -> bool:
-    """(x·g)·y == x·(g·y) for every g in gens and all x, y, rows compared
-    whole: x·(g·y) over all y is row x gathered at the entries of row g."""
-    if len(rows) == 1:
-        return True  # [[0]]; itemgetter of one index returns no tuple
-    for g in gens:
-        gy = operator.itemgetter(*rows[g])
-        if not all(rows[rx[g]] == gy(rx) for rx in rows):
-            return False
-    return True
+# The size of a bytes.translate table: tables up to this order are scanned as
+# bytes, larger ones with itemgetter gathers.
+_BYTES_MAX_ORDER = 256
 
 
-def _light_test_bytes(rows: Sequence[tuple[int, ...]], gens: Iterable[int]) -> bool:
-    """_light_test for order <= 256 with rows as bytes: x·(g·y) over all y is
-    row g translated through row x, padded to a 256-byte translation table."""
-    rows_b = [bytes(r) for r in rows]
-    pad = bytes(256 - len(rows))
-    tables = [r + pad for r in rows_b]
-    for g in gens:
-        gy = rows_b[g]
-        if not all(gy.translate(tx) == rows_b[rx[g]] for rx, tx in zip(rows_b, tables)):
-            return False
-    return True
+def _first_non_associative(rows: Sequence[tuple[int, ...]], middles: Iterable[int]
+                           ) -> Optional[tuple[int, int]]:
+    """The first (x, g), x ascending and then g in the order of ``middles``,
+    for which row x·g differs from x·(g·y) over all y; None if every pair
+    agrees.  Rows are compared whole: x·(g·y) over all y is row g passed
+    through row x, by bytes.translate up to _BYTES_MAX_ORDER (row x padded to
+    a 256-byte table) and by an itemgetter gather above.
 
-
-def _raise_first_non_associative(rows: Sequence[Sequence[int]]) -> None:
+    A row equal to an earlier row x' is skipped: x·g = x'·g and
+    x·(g·y) = x'·(g·y), so (x, g) fails exactly when (x', g) does.
+    """
     n = len(rows)
-    for i in range(n):
-        for j in range(n):
-            ij = rows[i][j]
-            for k in range(n):
-                if rows[ij][k] != rows[i][rows[j][k]]:
-                    raise NonAssociative(i, j, k)
+    if n <= _BYTES_MAX_ORDER:
+        pad = bytes(256 - n)
+        rows = [bytes(r) for r in rows]
+        images = [(g, rows[g].translate) for g in middles]
+    else:
+        pad = ()
+        images = [(g, operator.itemgetter(*rows[g])) for g in middles]
+    seen = set()
+    for x, rx in enumerate(rows):
+        if rx in seen:
+            continue
+        seen.add(rx)
+        tx = rx + pad
+        for g, image in images:
+            if image(tx) != rows[rx[g]]:
+                return x, g
+    return None
 
 
 def from_json(text: str) -> FiniteSemigroup:

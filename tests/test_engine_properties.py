@@ -11,6 +11,7 @@ growing each subsemigroup to a fixpoint.
 """
 
 import functools
+import operator
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -324,22 +325,32 @@ def relations_on():
 
 def check_validation(rows):
     expected = first_non_associative(rows)
-    # Light's test on bytes and on gathered rows, whatever the order
+    n = len(rows)
     table = tuple(map(tuple, rows))
     gens = finite.greedy_generators(table)
-    assert finite._light_test_bytes(table, gens) == (expected is None)
-    assert finite._light_test(table, gens) == (expected is None)
-    try:
-        finite.validate_cayley(len(rows), rows)
-    except finite.NonAssociative as exc:
-        assert exc.triple == expected
-        assert str(exc) == "associativity fails at triple ({},{},{})".format(*expected)
-    else:
-        assert expected is None
+    # the row scan on bytes and, with the bound at 0, on gathers, whatever the
+    # order; at order 1 an itemgetter of one index returns no tuple, and the
+    # library gathers only above order 256
+    for bound in (finite._BYTES_MAX_ORDER, 0) if n > 1 else (finite._BYTES_MAX_ORDER,):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(finite, "_BYTES_MAX_ORDER", bound)
+            # Light's test over the generators decides; the scan over every
+            # element names the first failing (x, g)
+            assert (finite._first_non_associative(table, gens) is None) == (expected is None)
+            assert finite._first_non_associative(table, range(n)) == (expected and expected[:2])
+            try:
+                finite.validate_cayley(n, rows)
+            except finite.NonAssociative as exc:
+                assert exc.triple == expected
+                assert str(exc) == "associativity fails at triple ({},{},{})".format(*expected)
+            else:
+                assert expected is None
 
 
 @settings(max_examples=200, deadline=None)
 @given(raw_tables())
+# the only greedy generator is 0, but the first failing triple is (0, 1, 1)
+@example([[1, 2, 0], [2, 0, 1], [0, 0, 0]])
 def test_light_test_matches_triple_scan_on_random_tables(rows):
     check_validation(rows)
 
@@ -350,23 +361,51 @@ def test_light_test_matches_triple_scan_on_corrupted_semigroups(rows):
     check_validation(rows)
 
 
-# bytes hold the entries of a table up to order 256; above, rows are gathered
-@pytest.mark.parametrize("n, light", [(256, "_light_test_bytes"), (257, "_light_test")])
-def test_light_test_either_side_of_the_bytes_bound(monkeypatch, n, light):
-    ran = []
+def counted_gathers(monkeypatch):
+    """Make each itemgetter that finite builds count its calls; returns the
+    list of counts, one entry per getter built."""
+    calls = []
+    make = operator.itemgetter
 
-    def recording(name):
-        test = getattr(finite, name)
-        return lambda *args: ran.append(name) or test(*args)
-    for name in ("_light_test_bytes", "_light_test"):
-        monkeypatch.setattr(finite, name, recording(name))
+    def itemgetter(*items):
+        get, i = make(*items), len(calls)
+        calls.append(0)
+
+        def counted(obj):
+            calls[i] += 1
+            return get(obj)
+        return counted
+    monkeypatch.setattr(finite.operator, "itemgetter", itemgetter)
+    return calls
+
+
+# bytes hold the entries of a table up to order 256; above, rows are gathered
+@pytest.mark.parametrize("n, scan", [(256, "bytes"), (257, "gathers")])
+def test_light_test_either_side_of_the_bytes_bound(monkeypatch, n, scan):
+    gathers = counted_gathers(monkeypatch)
     rows = [[(i + j) % n for j in range(n)] for i in range(n)]
     assert finite.validate_cayley(n, rows).order == n
     rows[0][1] = 2  # (0·1)·1 = 3 but 0·(1·1) = 2
     with pytest.raises(finite.NonAssociative) as exc:
         finite.validate_cayley(n, rows)
     assert exc.value.triple == first_non_associative(rows) == (0, 1, 1)
-    assert ran == [light, light]
+    # LZ_n with its last row corrupted: (n-1·1)·0 = 0 but (n-1)·(1·0) = n-1
+    rows = [[i] * n for i in range(n)]
+    rows[n - 1][0] = 0
+    with pytest.raises(finite.NonAssociative) as exc:
+        finite.validate_cayley(n, rows)
+    assert exc.value.triple == (n - 1, 1, 0)
+    assert bool(gathers) == (scan == "gathers")
+
+
+def test_light_test_gathers_each_distinct_row_once(monkeypatch):
+    # RZ_257: x·y = y, so every element is a generator and every row is the
+    # same; one distinct row takes one gather per generator, not one per row
+    gathers = counted_gathers(monkeypatch)
+    n = 257
+    assert finite.validate_cayley(n, [list(range(n))] * n).order == n
+    assert len(gathers) == n
+    assert sum(gathers) == n
 
 
 # the edge order of the Cayley graphs, and through it the Green's class ids,
