@@ -15,7 +15,9 @@ so certificate indices grow linearly with word length.
 
 Every certificate-producing operation (the five claims, span_witness,
 express_pair, inverse_of) re-verifies its output by evaluation before
-returning it, and raises CertificateError if the re-check fails.
+returning it, and raises CertificateError if the re-check fails.  The claims
+iterate, one step a letter, so word length is bounded by time and memory,
+not by recursion depth.
 """
 
 from __future__ import annotations
@@ -438,7 +440,25 @@ def claim2(m: TwoTransitiveMatrix, u: Sequence[ALetter],
     u, x = tuple(u), tuple(x)
     if u == x:
         raise EqualElements("claim2 needs distinct words")
-    lam, side, p = _claim2_rec(m, u, x)
+    # one column a step, off the end of both words: a shared letter gets
+    # the column claim1 gives it; otherwise the shorter word, x on a tie, loses
+    # its letter
+    one = SElem(m.identity)
+    cols: list[BLetter] = []
+    i, j = len(u), len(x)
+    while i and j:
+        a, c = u[i - 1], x[j - 1]
+        if a == c:
+            cols.append(_chain(m, (a,), one))
+            i, j = i - 1, j - 1
+        elif i >= j:
+            cols.append(m.find_column(a, c, a, one))
+            j -= 1
+        else:
+            cols.append(m.find_column(a, c, one, c))
+            i -= 1
+    side, p = ("left", x[:j]) if not i else ("right", u[:i])
+    lam = b_word_nf(m, cols)
     left = reduce(m, list(u) + lam.letters())
     right = reduce(m, list(x) + lam.letters())
     if side == "left":
@@ -446,26 +466,6 @@ def claim2(m: TwoTransitiveMatrix, u: Sequence[ALetter],
     else:
         _certify(right.is_identity() and left == a_word_nf(m, p), "claim2")
     return lam, side, p
-
-
-def _claim2_rec(m, u, x):
-    if not u:
-        return identity_nf(m), "left", x
-    if not x:
-        return identity_nf(m), "right", u
-    one = SElem(m.identity)
-    if u[-1] == x[-1]:
-        lam1 = claim1(m, (u[-1],))
-        lam2, side, p = _claim2_rec(m, u[:-1], x[:-1])
-        return nf_mul(lam1, lam2), side, p
-    if len(u) >= len(x):
-        # keep u intact, strip the last letter of x
-        b = m.find_column(u[-1], x[-1], u[-1], one)
-        lam, side, p = _claim2_rec(m, u, x[:-1])
-        return nf_mul(b_word_nf(m, (b,)), lam), side, p
-    b = m.find_column(u[-1], x[-1], one, x[-1])
-    lam, side, p = _claim2_rec(m, u[:-1], x)
-    return nf_mul(b_word_nf(m, (b,)), lam), side, p
 
 
 def claim3(m: TwoTransitiveMatrix, u: Sequence[ALetter], x: Sequence[ALetter],
@@ -479,7 +479,7 @@ def claim3(m: TwoTransitiveMatrix, u: Sequence[ALetter], x: Sequence[ALetter],
     else:
         a_star = m.find_row(bn, b0, w2, w1)
     mu = a_word_nf(m, (a_star,))
-    lam = nf_mul(lam2, b_word_nf(m, (bn,)))
+    lam = b_word_nf(m, lam2.v + (bn,))  # B-words multiply by concatenation
     _certify(nf_mul(nf_mul(mu, a_word_nf(m, u)), lam) == letter_nf(m, w1)
              and nf_mul(nf_mul(mu, a_word_nf(m, x)), lam) == letter_nf(m, w2), "claim3")
     return mu, lam
@@ -501,7 +501,24 @@ def claim5(m: TwoTransitiveMatrix, v: Sequence[BLetter],
     v, y = tuple(v), tuple(y)
     if v == y:
         raise EqualElements("claim5 needs distinct words")
-    mu, side, q = _claim5_rec(m, v, y)
+    # claim2's loop mirrored: one row a step, off the front of both words,
+    # each new row going on μ's left
+    one = SElem(m.identity)
+    rows: list[ALetter] = []
+    i, j = 0, 0
+    while i < len(v) and j < len(y):
+        b, d = v[i], y[j]
+        if b == d:
+            rows.append(_chain(m, (b,), one))
+            i, j = i + 1, j + 1
+        elif len(v) - i >= len(y) - j:
+            rows.append(m.find_row(b, d, b, one))
+            j += 1
+        else:
+            rows.append(m.find_row(b, d, one, d))
+            i += 1
+    side, q = ("left", y[j:]) if i == len(v) else ("right", v[i:])
+    mu = a_word_nf(m, rows[::-1])
     left = nf_mul(mu, b_word_nf(m, v))
     right = nf_mul(mu, b_word_nf(m, y))
     if side == "left":
@@ -509,25 +526,6 @@ def claim5(m: TwoTransitiveMatrix, v: Sequence[BLetter],
     else:
         _certify(right.is_identity() and left == b_word_nf(m, q), "claim5")
     return mu, side, q
-
-
-def _claim5_rec(m, v, y):
-    if not v:
-        return identity_nf(m), "left", y
-    if not y:
-        return identity_nf(m), "right", v
-    one = SElem(m.identity)
-    if v[0] == y[0]:
-        mu1 = claim4(m, (v[0],))
-        mu2, side, q = _claim5_rec(m, v[1:], y[1:])
-        return nf_mul(mu2, mu1), side, q
-    if len(v) >= len(y):
-        a = m.find_row(v[0], y[0], v[0], one)
-        mu, side, q = _claim5_rec(m, v, y[1:])
-        return nf_mul(mu, a_word_nf(m, (a,))), side, q
-    a = m.find_row(v[0], y[0], one, y[0])
-    mu, side, q = _claim5_rec(m, v[1:], y)
-    return nf_mul(mu, a_word_nf(m, (a,))), side, q
 
 
 # ---------------------------------------------------------------------------

@@ -112,12 +112,10 @@ class FiniteSemigroup:
 
     @functools.cached_property
     def _identity(self) -> Optional[int]:
-        t = self.table
-        ident = tuple(range(self.order))
-        for e in range(self.order):
-            if t[e] == ident and all(row[e] == x for x, row in enumerate(t)):
-                return e
-        return None
+        """The e with eg = ge = g for every generator g, hence for all of S."""
+        right, left = self._cayley_graphs
+        gens = tuple(self._generators)
+        return next((e for e in range(self.order) if right[e] == gens == left[e]), None)
 
     @functools.cached_property
     def _is_group(self) -> bool:
@@ -198,7 +196,7 @@ def greedy_generators(rows: Sequence[Sequence[int]]) -> list[int]:
 
 
 def _pair_orbit(rows: Sequence[Sequence[int]], codes: Iterable[int]
-                ) -> tuple[list[int], bytearray]:
+                ) -> tuple[list[int], set[int]]:
     """Greedy generators of the pairs ``codes`` in S x S, and their right orbit.
 
     Pairs (x, y) are coded p = x*n + y.  A code not yet reached becomes a
@@ -206,20 +204,20 @@ def _pair_orbit(rows: Sequence[Sequence[int]], codes: Iterable[int]
     pairs by every generator (Froidure & Pin's right Cayley graph
     enumeration).  The orbit holds the left-bracketed products of the
     generators, so at the end the reached pairs are the subsemigroup they
-    generate.  Returns the generator codes and the reached flags, one byte
-    per code.
+    generate.  Returns the generator codes and the set of reached codes,
+    sized to the orbit rather than to S x S.
     """
     n = len(rows)
-    reached = bytearray(n * n)
+    reached: set[int] = set()
     orbit: list[tuple[int, int]] = []
     gens: list[tuple[int, int]] = []
     for g in codes:
-        if reached[g]:
+        if g in reached:
             continue
         old = len(orbit)
         new = [divmod(g, n)]
         gens += new
-        reached[g] = 1
+        reached.add(g)
         orbit += new
         # the pairs reached before g are multiplied by g, g and later pairs by
         # every generator; the loop runs on over the pairs it appends
@@ -227,8 +225,8 @@ def _pair_orbit(rows: Sequence[Sequence[int]], codes: Iterable[int]
             tx, ty = rows[x], rows[y]
             for (z, w) in (new if i < old else gens):
                 p = tx[z] * n + ty[w]
-                if not reached[p]:
-                    reached[p] = 1
+                if p not in reached:
+                    reached.add(p)
                     orbit.append(divmod(p, n))
     return [z * n + w for (z, w) in gens], reached
 

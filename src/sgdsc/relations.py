@@ -183,9 +183,6 @@ def _preorder_closed(s: FiniteSemigroup, rows: Sequence[int]) -> bool:
 # Largest order the subset scan (brute_force_is_dsc) accepts.
 SUBSET_SCAN_MAX_ORDER = 4
 
-# reached flags 0 and 1 as the digits of a base-2 numeral
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
 
 def _closed_masks(s: FiniteSemigroup) -> Iterator[int]:
     """Masks of the diagonal subsemigroups of S x S in increasing order (order <= 4).
@@ -212,7 +209,7 @@ def _closed_masks(s: FiniteSemigroup) -> Iterator[int]:
             high = mask >> p + 1
             start = high << p + 1 | diag | 1 << p
             reached = finite._pair_orbit(s.table, [q for q in range(n * n) if start >> q & 1])[1]
-            nxt = int(reached[::-1].translate(_DIGITS), 2)
+            nxt = sum(map((1).__lshift__, reached))
             if nxt >> p + 1 == high:
                 mask = nxt
                 break

@@ -390,6 +390,17 @@ def test_byleen_span_length_500(capsys):
     assert digits > 4300
 
 
+@pytest.mark.parametrize("kind, case", [("a", "a-words-differ"), ("b", "b-words-differ")])
+def test_byleen_span_words_differing_at_every_letter(capsys, kind, case):
+    # one certificate step per letter: past Python's default recursion limit
+    words = [" ".join(f"{kind}({(i + k) % 3},s{i % 2})" for i in range(1200)) for k in (0, 1)]
+    g, h = (f"s1 {w}" if kind == "a" else f"{w} s1" for w in words)
+    code, out, _ = run(capsys, ["byleen", "span", g, h, "s1", "a(2,s1)"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["verified"] is True and doc["case"] == case
+
+
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 

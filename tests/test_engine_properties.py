@@ -12,6 +12,7 @@ growing each subsemigroup to a fixpoint.
 
 import functools
 import operator
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -420,6 +421,20 @@ def test_greedy_generators_match_oracle_orders_1_to_3():
     for n in (1, 2, 3):
         for s in finite.enumerate_semigroups(n):
             assert finite.greedy_generators(s.table) == generators_oracle(s)
+
+
+def test_greedy_generators_memory_follows_the_orbit():
+    # RZ_1024: the diagonal orbit reaches 1024 pairs of the 2^20 in S x S, so
+    # flags for every pair (1 MiB as bytes) would dominate the peak
+    n = 1024
+    rows = [tuple(range(n))] * n
+    tracemalloc.start()
+    try:
+        assert finite.greedy_generators(rows) == list(range(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 @settings(max_examples=100, deadline=None)

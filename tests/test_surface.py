@@ -100,13 +100,26 @@ def test_finite_imports_nothing_from_relations():
 
 
 def test_simplicity_and_group_tests_read_no_table_row():
-    """The kernel, the J-components, Green's classes and the group test are
-    read off the Cayley graphs, never off ``self.table``."""
+    """The kernel, the J-components, Green's classes, the group test and the
+    identity are read off the Cayley graphs, never off ``self.table``."""
     tree = ast.parse((LIB / "finite.py").read_text(encoding="utf-8"))
     cls = next(node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "FiniteSemigroup")
     methods = {node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)}
-    for name in ("_is_group", "_proper_ideal", "_j_components", "_greens"):
+    for name in ("_is_group", "_proper_ideal", "_j_components", "_greens", "_identity"):
         assert not any(isinstance(node, ast.Attribute) and node.attr == "table"
                        and isinstance(node.value, ast.Name) and node.value.id == "self"
                        for node in ast.walk(methods[name])), name
+
+
+def test_no_library_function_calls_itself():
+    """No function or method recurses by calling its own bare name, so input
+    size is bounded by time and memory, never by Python's recursion limit."""
+    recursive = []
+    for mod, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == node.name for call in ast.walk(node)):
+                recursive.append(f"{mod}.{node.name}")
+    assert recursive == []
