@@ -7,11 +7,12 @@ complements as decidable arithmetic-progression sets.  The witness suite of
 each model is defined here, once, for the CLI and the tests.
 
 The bicyclic, Bruck-Reilly and integer suites are proved exactly: each law
-runs the library's own code on symbolic integers, one case per outcome of
-each comparison, and every case where the law fails is refuted by
-Fourier-Motzkin elimination.  Over the naturals a comparison that its signs
-decide (a constant >= 0 and every coefficient >= 0, or a constant < 0 and
-every coefficient <= 0) takes its only feasible outcome without a case.
+runs the library's own code on symbolic naturals (an integer is a - b with
+a, b natural), one case per outcome of each comparison, and every case
+where the law fails is refuted by Fourier-Motzkin elimination.  A
+comparison that its signs decide (a constant >= 0 and every coefficient
+>= 0, or a constant < 0 and every coefficient <= 0) takes its only feasible
+outcome without a case.
 For Bruck-Reilly extensions this proves that the projection to the bicyclic
 monoid is a homomorphism for all naturals m and n, for each endomorphism
 theta and each pair of base elements.  The proof reaches only theta whose
@@ -360,31 +361,29 @@ def baer_levi_witness() -> dict:
     def rho_member(x: CoInjection, y: CoInjection) -> bool:
         return not apset_is_empty(apset_intersect(x.complement, y.complement))
 
-    return {
-        "f": f, "g": g, "h": h,
-        "rho_member": rho_member,
-        "fg": rho_member(f, g),
-        "gh": rho_member(g, h),
-        "fh": rho_member(f, h),
-        "fg_intersection": apset_intersect(f.complement, g.complement).sample(40),
-        "gh_intersection": apset_intersect(g.complement, h.complement).sample(40),
-        "fh_intersection": apset_intersect(f.complement, h.complement).sample(40),
-    }
+    witness = {"f": f, "g": g, "h": h, "rho_member": rho_member}
+    for name, x, y in (("fg", f, g), ("gh", g, h), ("fh", f, h)):
+        meet = apset_intersect(x.complement, y.complement)
+        witness[name] = not apset_is_empty(meet)
+        witness[f"{name}_intersection"] = meet.sample(40)
+    return witness
 
 
 # ---------------------------------------------------------------------------
 # Exact prover for statements in linear integer arithmetic
 #
-# A statement is run on symbolic integers.  Each comparison the code makes
-# is a branch, unless it is constant, fixed by signs over the naturals, or
-# implied either way by the best bound the path has on its coefficients;
-# a path is the list of choices taken, and each choice adds one constraint
-# row (c0, c1, ..., cn), meaning c0 + c1·v1 + ... >= 0.  The statement holds
-# when every path on which it returns False or raises SemigroupError is
-# infeasible, shown by Fourier-Motzkin elimination.  A comparison builds one
-# coefficient tuple, with map over the operands' terms.  Elimination keeps
-# the strongest row per coefficient vector and picks the variable whose
-# elimination adds the fewest rows.
+# A statement is run on symbolic naturals; an integer enters as a - b with
+# a, b natural.  Each comparison the code makes is a branch, unless it is
+# constant, fixed by signs, or implied either way by the path's bound on its
+# coefficients; a path is the list of choices taken, and each choice adds
+# one constraint row (c0, c1, ..., cn), meaning c0 + c1·v1 + ... >= 0.  A
+# path keeps one bound per coefficient vector, the least c0, starting from
+# v >= 0 for each variable.  The statement holds when every path on which it
+# returns False or raises SemigroupError is infeasible, shown by
+# Fourier-Motzkin elimination.  A comparison builds one coefficient tuple,
+# with map over the operands' terms.  Elimination keeps the strongest row
+# per coefficient vector and picks the variable whose elimination adds the
+# fewest rows.
 
 _MAX_BRANCHES = 256  # decided comparisons take none; the deepest suite path takes 13
 
@@ -434,25 +433,17 @@ class _Linear:
         terms = tuple(map(sub, self.terms, other.terms))
         return (terms[0] + c,) + terms[1:] if c else terms
 
-    def _rminus(self, other, c):
-        """The terms of other - self + c."""
-        if isinstance(other, _Linear):
-            return other._minus(self, c)
-        if not isinstance(other, int):
-            raise TypeError("symbolic integer compared with a non-integer")
-        return (other + c - self.terms[0],) + tuple(map(neg, self.terms[1:]))
-
     def __ge__(self, other):
         return self.path.holds(self._minus(other, 0))
 
     def __le__(self, other):
-        return self.path.holds(self._rminus(other, 0))
+        return self.path.holds(tuple(map(neg, self._minus(other, 0))))
 
     def __gt__(self, other):
         return self.path.holds(self._minus(other, -1))
 
     def __lt__(self, other):
-        return self.path.holds(self._rminus(other, -1))
+        return self.path.holds(tuple(map(neg, self._minus(other, 1))))
 
     def __eq__(self, other):
         return self >= other and self <= other
@@ -464,10 +455,9 @@ class _Linear:
 class _Path:
     """One run of a statement: replays `choices`, then takes True at new branches."""
 
-    def __init__(self, choices, units, naturals):
-        self.choices, self.depth, self.bounds = choices, 0, {}
-        self.naturals = naturals
-        self.rows = list(units) if naturals else []
+    def __init__(self, choices, units):
+        self.choices, self.depth = choices, 0
+        self.bounds = {u[1:]: 0 for u in units}  # coefficients c -> least k in k + c·v >= 0
 
     def holds(self, terms) -> bool:
         """Whether the form with these terms is >= 0 on this path; a False is
@@ -475,11 +465,11 @@ class _Path:
         coefficients = terms[1:]
         if not any(coefficients):
             return terms[0] >= 0
-        if self.naturals:  # signs alone decide it when every variable is >= 0
-            if terms[0] >= 0 and min(coefficients) >= 0:
-                return True
-            if terms[0] < 0 and max(coefficients) <= 0:
-                return False
+        # signs alone decide it, as every variable is >= 0
+        if terms[0] >= 0 and min(coefficients) >= 0:
+            return True
+        if terms[0] < 0 and max(coefficients) <= 0:
+            return False
         # a recorded row k + c·v >= 0 decides c·v >= -t0 when k <= t0, and
         # k - c·v >= 0 decides it False when k + t0 < 0
         bounds = self.bounds
@@ -496,11 +486,9 @@ class _Path:
             self.choices.append(True)
         taken = self.choices[self.depth]
         self.depth += 1
-        row = terms if taken else (-terms[0] - 1,) + negated
-        self.rows.append(row)
-        coefficients = row[1:]
-        if coefficients not in bounds or row[0] < bounds[coefficients]:
-            bounds[coefficients] = row[0]
+        k, coefficients = (terms[0], coefficients) if taken else (-terms[0] - 1, negated)
+        if coefficients not in bounds or k < bounds[coefficients]:
+            bounds[coefficients] = k
         return taken
 
 
@@ -549,23 +537,24 @@ def _feasible(rows) -> bool:
     return True
 
 
-def _proved(statement, nvars: int, naturals: bool = True) -> bool:
-    """Whether statement(v1, ..., vn) is True for all naturals (or integers).
+def _proved(statement, nvars: int) -> bool:
+    """Whether statement(v1, ..., vn) is True for all naturals v1, ..., vn.
 
-    Paths are enumerated depth-first by replaying recorded choices.  A path
-    does not hold its variables, so no cycle keeps it alive once it is done.
+    An integer is proved as a - b over two naturals.  Paths are enumerated
+    depth-first by replaying recorded choices.  A path does not hold its
+    variables, so no cycle keeps it alive once it is done.
     """
     units = [(0,) * i + (1,) + (0,) * (nvars - i) for i in range(1, nvars + 1)]
     pending = [[]]
     while pending:
-        path = _Path(pending.pop(), units, naturals)
+        path = _Path(pending.pop(), units)
         replayed = len(path.choices)
         try:
             ok = statement(*[_Linear(u, path) for u in units])
         except SemigroupError:
             ok = False
         pending.extend(path.choices[:j] + [False] for j in range(replayed, len(path.choices)))
-        if not ok and _feasible(path.rows):
+        if not ok and _feasible([(k,) + c for c, k in path.bounds.items()]):
             return False
     return True
 
@@ -637,7 +626,7 @@ def z_checks() -> list:
     return [
         {"name": "member_2_5", "pass": zdiag_member(2, 5)},
         {"name": "non_member_5_2", "pass": not zdiag_member(5, 2)},
-        {"name": "diagonal", "pass": _proved(lambda k: zdiag_member(k, k), 1, naturals=False)},
+        {"name": "diagonal", "pass": _proved(lambda a, b: zdiag_member(a - b, a - b), 2)},
     ]
 
 

@@ -115,41 +115,19 @@ def test_check_deterministic(capsys, table_file):
 # C255 with an identity adjoined (order 256: its ideal witness has 65 281
 # pairs), built from their definitions and relabeled x -> 7x + 3 (mod n)
 
-def _cyclic(n):
-    return [[(i + j) % n for j in range(n)] for i in range(n)]
+def _table(rows):
+    n = len(rows)
+    return finite.validate_cayley(n, rows, [f"x{i}" for i in range(n)])
 
 
-def _product(a, b):
-    nb = len(b)
-    return [[a[x // nb][y // nb] * nb + b[x % nb][y % nb] for y in range(len(a) * nb)]
-            for x in range(len(a) * nb)]
-
-
-def _rees(i_size, k, j_size, sandwich):
-    """I x C_k x J with sandwich[j][i] in C_k."""
-    elems = [(i, g, j) for i in range(i_size) for g in range(k) for j in range(j_size)]
-    index = {e: x for x, e in enumerate(elems)}
-    return [[index[(i, (g + sandwich[j][i2] + h) % k, j2)] for (i2, h, j2) in elems]
-            for (i, g, j) in elems]
-
-
-def _relabeled(t):
-    n = len(t)
-    perm = [(7 * x + 3) % n for x in range(n)]
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[perm[i]][perm[j]] = perm[t[i][j]]
-    return out
-
-
+_C = finite.cyclic_group
 _LARGE_TABLES = {
-    "C4xC4": _product(_cyclic(4), _cyclic(4)),
-    "rees-C4-2x2": _rees(2, 4, 2, [[0, 1], [2, 3]]),
-    "RZ4xC4": _product([list(range(4))] * 4, _cyclic(4)),
-    "C16-zero": [row + [16] for row in _cyclic(16)] + [[16] * 17],
-    "chain2xC8": _product([[0, 0], [0, 1]], _cyclic(8)),
-    "C255^1": [row + [x] for x, row in enumerate(_cyclic(255))] + [list(range(256))],
+    "C4xC4": constructions.direct_product(_C(4), _C(4)),
+    "rees-C4-2x2": constructions.rees_matrix(constructions.ReesSpec(_C(4), 2, 2, ((0, 1), (2, 3)))),
+    "RZ4xC4": constructions.direct_product(_table([list(range(4))] * 4), _C(4)),
+    "C16-zero": _table([row + (16,) for row in _C(16).table] + [(16,) * 17]),
+    "chain2xC8": constructions.direct_product(constructions.min_semilattice(), _C(8)),
+    "C255^1": _table([row + (x,) for x, row in enumerate(_C(255).table)] + [tuple(range(256))]),
 }
 
 
@@ -159,7 +137,8 @@ def large_table(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
 
     def write(name):
-        t = _relabeled(_LARGE_TABLES[name])
+        s = _LARGE_TABLES[name]
+        t = constructions.relabel(s, [(7 * x + 3) % s.order for x in range(s.order)]).table
         path = f"{name}.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"order": len(t), "table": t}, fh)

@@ -4,6 +4,7 @@ import functools
 import gc
 import itertools
 import math
+import operator
 import random
 import time
 
@@ -119,13 +120,18 @@ def test_prover_agrees_with_box(hypotheses, goal):
     assert not (proved and counterexample), counterexample
 
 
+def _proved_over_integers(statement, nvars):
+    """Prove statement for all integers, each written as a - b with a, b natural."""
+    return infinite._proved(lambda *v: statement(*map(operator.sub, v[::2], v[1::2])), 2 * nvars)
+
+
 def test_prover_domains_and_integer_tightening():
     assert infinite._proved(lambda a: a >= 0, 1)
-    assert not infinite._proved(lambda a: a >= 0, 1, naturals=False)
+    assert not _proved_over_integers(lambda a: a >= 0, 1)
     # 2a = 2b + 1 has rational solutions only; dividing 2a - 2b - 1 >= 0 by
     # the gcd rounds it to a - b - 1 >= 0
-    assert infinite._proved(lambda a, b: not a + a == b + b + 1, 2, naturals=False)
-    assert not infinite._proved(lambda a, b: not a + a == b + 1, 2, naturals=False)
+    assert _proved_over_integers(lambda a, b: not a + a == b + b + 1, 2)
+    assert not _proved_over_integers(lambda a, b: not a + a == b + 1, 2)
 
 
 def test_prover_sign_shortcut_over_naturals():
@@ -179,10 +185,10 @@ _EXPRS = st.recursive(
     max_leaves=8)
 
 
-def _symbols(nvars, choices=(), naturals=False):
+def _symbols(nvars, choices=()):
     """A path over nvars variables that replays choices, and its variables."""
     units = [tuple(int(i == j) for j in range(nvars + 1)) for i in range(1, nvars + 1)]
-    path = infinite._Path(list(choices), units, naturals)
+    path = infinite._Path(list(choices), units)
     return path, [infinite._Linear(u, path) for u in units]
 
 
@@ -199,48 +205,50 @@ def _evaluate(expr, xs):
 @settings(max_examples=200, deadline=None)
 @given(_EXPRS, st.lists(st.integers(0, 50), min_size=1, max_size=4))
 def test_linear_terms_match_int_arithmetic(expr, xs):
-    path, variables = _symbols(len(xs), naturals=True)
-    units = list(path.rows)
+    path, variables = _symbols(len(xs))
+    bounds = dict(path.bounds)
     form = _evaluate(expr, variables)
     terms = form.terms if isinstance(form, infinite._Linear) else (form,) + (0,) * len(xs)
     assert terms[0] + sum(c * x for c, x in zip(terms[1:], xs)) == _evaluate(expr, xs)
-    assert path.rows == units  # arithmetic records nothing
+    assert (path.bounds, path.depth) == (bounds, 0)  # arithmetic records nothing
 
 
-# (comparison of a and b over the integers, [(choices, result, rows recorded)]);
-# a row (c0, ca, cb) reads c0 + ca·a + cb·b >= 0
+# (comparison of naturals a and b, [(choices, result, bounds recorded)]); a
+# bound {(ca, cb): c0} is the row c0 + ca·a + cb·b >= 0, and every path
+# starts from a >= 0 and b >= 0
+_NATURAL = {(1, 0): 0, (0, 1): 0}
 _COMPARISONS = {
     "<": (lambda a, b: a < b + 1,
-          [([True], True, [(0, -1, 1)]), ([False], False, [(-1, 1, -1)])]),
+          [([True], True, {(-1, 1): 0}), ([False], False, {(1, -1): -1})]),
     "<=": (lambda a, b: a <= b + 1,
-           [([True], True, [(1, -1, 1)]), ([False], False, [(-2, 1, -1)])]),
+           [([True], True, {(-1, 1): 1}), ([False], False, {(1, -1): -2})]),
     ">": (lambda a, b: a > b + 1,
-          [([True], True, [(-2, 1, -1)]), ([False], False, [(1, -1, 1)])]),
+          [([True], True, {(1, -1): -2}), ([False], False, {(-1, 1): 1})]),
     ">=": (lambda a, b: a >= b + 1,
-           [([True], True, [(-1, 1, -1)]), ([False], False, [(0, -1, 1)])]),
+           [([True], True, {(1, -1): -1}), ([False], False, {(-1, 1): 0})]),
     "==": (lambda a, b: a == b + 1,
-           [([True, True], True, [(-1, 1, -1), (1, -1, 1)]),
-            ([False], False, [(0, -1, 1)]),
-            ([True, False], False, [(-1, 1, -1), (-2, 1, -1)])]),
-    "int<": (lambda a, b: 1 < a, [([True], True, [(-2, 1, 0)]), ([False], False, [(1, -1, 0)])]),
+           [([True, True], True, {(1, -1): -1, (-1, 1): 1}),
+            ([False], False, {(-1, 1): 0}),
+            ([True, False], False, {(1, -1): -2})]),
+    "int<": (lambda a, b: 1 < a, [([True], True, {(1, 0): -2}), ([False], False, {(-1, 0): 1})]),
     "int<=": (lambda a, b: 1 <= a,
-              [([True], True, [(-1, 1, 0)]), ([False], False, [(0, -1, 0)])]),
-    "int>": (lambda a, b: 1 > a, [([True], True, [(0, -1, 0)]), ([False], False, [(-1, 1, 0)])]),
+              [([True], True, {(1, 0): -1}), ([False], False, {(-1, 0): 0})]),
+    "int>": (lambda a, b: 1 > a, [([True], True, {(-1, 0): 0}), ([False], False, {(1, 0): -1})]),
     "int>=": (lambda a, b: 1 >= a,
-              [([True], True, [(1, -1, 0)]), ([False], False, [(-2, 1, 0)])]),
+              [([True], True, {(-1, 0): 1}), ([False], False, {(1, 0): -2})]),
     "int==": (lambda a, b: 1 == a,
-              [([True, True], True, [(-1, 1, 0), (1, -1, 0)]),
-               ([False], False, [(0, -1, 0)]),
-               ([True, False], False, [(-1, 1, 0), (-2, 1, 0)])]),
+              [([True, True], True, {(1, 0): -1, (-1, 0): 1}),
+               ([False], False, {(-1, 0): 0}),
+               ([True, False], False, {(1, 0): -2})]),
 }
 
 
 @pytest.mark.parametrize("compare, sides", _COMPARISONS.values(), ids=_COMPARISONS.keys())
 def test_comparison_records_rows(compare, sides):
-    for choices, result, rows in sides:
+    for choices, result, bounds in sides:
         path, variables = _symbols(2, choices)
         assert compare(*variables) is result
-        assert (path.rows, path.depth) == (rows, len(choices))
+        assert (path.bounds, path.depth) == ({**_NATURAL, **bounds}, len(choices))
 
 
 def test_recorded_bound_decides_implied_comparisons():
@@ -248,14 +256,14 @@ def test_recorded_bound_decides_implied_comparisons():
     assert a - b >= 2
     assert a - b >= 1  # implied by the recorded row
     assert not b - a >= -1  # contradicts it
-    assert (path.rows, path.depth) == ([(-2, 1, -1)], 1)
+    assert (path.bounds, path.depth) == ({**_NATURAL, (1, -1): -2}, 1)
 
 
 def test_weaker_recorded_bound_still_branches():
     path, (a, b) = _symbols(2)
     assert a - b >= 1
-    assert a - b >= 2
-    assert (path.rows, path.depth) == ([(-1, 1, -1), (-2, 1, -1)], 2)
+    assert a - b >= 2  # a new branch, which tightens the recorded bound
+    assert (path.bounds, path.depth) == ({**_NATURAL, (1, -1): -2}, 2)
 
 
 @pytest.mark.parametrize("use", [
@@ -291,6 +299,27 @@ def test_feasible_whenever_a_box_point_satisfies(rows):
 ], ids=["bounds", "tightening", "free-variable", "cycle", "opposite-pair", "same-coefficients"])
 def test_feasible_refutes(rows):
     assert not infinite._feasible(rows)
+
+
+@st.composite
+def _repeating_systems(draw):
+    """Up to six rows over one to three variables drawn from at most three
+    coefficient vectors, so that rows often share a vector."""
+    k = draw(st.integers(1, 3))
+    vectors = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k), min_size=1, max_size=3))
+    return [(c0,) + c for c0, c in draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.sampled_from(vectors)), max_size=6))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_repeating_systems())
+def test_feasible_needs_only_the_least_constant_per_vector(rows):
+    """A path keeps one bound per coefficient vector; refuting those bounds
+    is refuting every row it recorded."""
+    least = {}
+    for c0, *c in rows:
+        least[tuple(c)] = min(c0, least.get(tuple(c), c0))
+    assert infinite._feasible(rows) == infinite._feasible([(c0,) + c for c, c0 in least.items()])
 
 
 def test_prover_paths_need_no_cycle_collection():
@@ -505,8 +534,14 @@ def test_zdiag():
 
 def test_zdiag_closed_under_addition():
     member = infinite.zdiag_member
-    assert infinite._proved(lambda x, y, a, b: not (member(x, y) and member(a, b))
-                            or member(x + a, y + b), 4, naturals=False)
+    assert _proved_over_integers(lambda x, y, a, b: not (member(x, y) and member(a, b))
+                                 or member(x + a, y + b), 4)
+
+
+def test_z_diagonal_fails_for_a_strict_order(monkeypatch):
+    """The a - b split of the z suite proves something: x < x fails."""
+    monkeypatch.setattr(infinite, "zdiag_member", lambda x, y: x < y)
+    assert {c["name"]: c["pass"] for c in infinite.z_checks()}["diagonal"] is False
 
 
 def test_apset_intersect_disjoint_residues():
