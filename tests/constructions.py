@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from sgdsc import finite, relations
 from sgdsc.finite import FiniteSemigroup, OutOfRange, SemigroupError, validate_cayley
@@ -75,8 +75,33 @@ def greens_d(gd: finite.GreensData) -> tuple[int, ...]:
 
 
 def count_diagonal_subsemigroups(s: FiniteSemigroup) -> int:
-    """Number of multiplication-closed supersets of the diagonal (order <= 4)."""
+    """Number of multiplication-closed supersets of the diagonal (order <= 4
+    unless relations.SUBSET_SCAN_MAX_ORDER is raised)."""
     return sum(1 for _ in relations._closed_masks(s))
+
+
+def closed_masks_unfiltered(s: FiniteSemigroup) -> Iterator[int]:
+    """relations._closed_masks without its one-step filter or its order cap:
+    NextClosure closing every candidate p not in the mask, the reference the
+    filtered scan must match mask for mask."""
+    n = s.order
+    diag = sum(1 << x * (n + 1) for x in range(n))
+    off = [p for p in range(n * n) if not diag >> p & 1]
+    mask = diag
+    while True:
+        yield mask
+        for p in off:
+            if mask >> p & 1:
+                continue
+            high = mask >> p + 1
+            start = high << p + 1 | diag | 1 << p
+            reached = finite._pair_orbit(s.table, [q for q in range(n * n) if start >> q & 1])[1]
+            nxt = sum(map((1).__lshift__, reached))
+            if nxt >> p + 1 == high:
+                mask = nxt
+                break
+        else:
+            return
 
 
 # ---------------------------------------------------------------------------

@@ -573,6 +573,81 @@ def test_closed_set_enumerator_matches_subset_scan_order_4(s):
     check_subset_scan(s)
 
 
+def check_one_step_filter(s):
+    # the filter skips only candidates NextClosure's closure would reject, so
+    # the masks and their order are those of the loop closing every candidate
+    assert list(relations._closed_masks(s)) == list(constructions.closed_masks_unfiltered(s))
+
+
+def test_one_step_filter_keeps_every_closed_mask_on_order_4_classes():
+    for s, _ in finite.semigroup_classes(4):
+        check_one_step_filter(s)
+
+
+def xor_group(k):
+    """C2^k, the elementary abelian group of order 2^k, as XOR on 0..2^k - 1."""
+    n = 1 << k
+    return table_semigroup([[i ^ j for j in range(n)] for i in range(n)])
+
+
+# orders 8 and 9, above the subset scan's cap
+ABOVE_CAP = {
+    "C2^3": xor_group(3),
+    "C4xC2": constructions.direct_product(finite.cyclic_group(4), finite.cyclic_group(2)),
+    "LZ2xC4": constructions.direct_product(constructions.left_zero(2), finite.cyclic_group(4)),
+    "RZ2xC4": constructions.direct_product(table_semigroup([[0, 1], [0, 1]]),
+                                           finite.cyclic_group(4)),
+    "chain2xC4": constructions.direct_product(constructions.min_semilattice(),
+                                              finite.cyclic_group(4)),
+    "C8^0": adjoin(finite.cyclic_group(8), zero=True),
+}
+
+
+@pytest.mark.parametrize("name", ABOVE_CAP)
+def test_one_step_filter_keeps_every_closed_mask_above_the_cap(name, monkeypatch):
+    monkeypatch.setattr(relations, "SUBSET_SCAN_MAX_ORDER", 9)
+    check_one_step_filter(ABOVE_CAP[name])
+
+
+def relabelings(s):
+    return st.permutations(range(s.order)).map(lambda perm: constructions.relabel(s, perm))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(list(ABOVE_CAP.values())).flatmap(relabelings))
+def test_one_step_filter_keeps_every_closed_mask_above_the_cap_relabeled(s):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relations, "SUBSET_SCAN_MAX_ORDER", 9)
+        check_one_step_filter(s)
+
+
+def test_elementary_abelian_groups_list_their_subgroup_counts(monkeypatch):
+    # in a finite group G the diagonal subsemigroups are the subgroups of
+    # G x G over the diagonal, one for each normal subgroup of G: for C2^3
+    # and C2^4 their 16 and 67 subgroups (OEIS A006116), an oracle
+    # independent of both loops
+    monkeypatch.setattr(relations, "SUBSET_SCAN_MAX_ORDER", 16)
+    assert constructions.count_diagonal_subsemigroups(xor_group(3)) == 16
+    assert constructions.count_diagonal_subsemigroups(xor_group(4)) == 67
+
+
+def test_one_step_filter_bounds_the_closures_on_c2_4(monkeypatch):
+    # closing every candidate takes 11 827 closures to list C2^4's 67 masks;
+    # the filter leaves 352
+    s = xor_group(4)
+    monkeypatch.setattr(relations, "SUBSET_SCAN_MAX_ORDER", 16)
+    calls = []
+    pair_orbit = finite._pair_orbit
+
+    def counted(rows, codes):
+        calls.append(None)
+        return pair_orbit(rows, codes)
+
+    monkeypatch.setattr(finite, "_pair_orbit", counted)
+    assert constructions.count_diagonal_subsemigroups(s) == 67
+    assert len(calls) <= 400
+
+
 def test_axiom_report_finds_every_closed_mask_closed_orders_1_to_3():
     # many of these relations are not preorders, so axiom_report's double
     # loop decides their closure against the pair orbit that closed them
