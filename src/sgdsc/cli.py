@@ -57,11 +57,9 @@ def cmd_check(args) -> int:
     ideal = finite.proper_ideal(s)
     add("simple", simple, None if simple else {"proper_ideal": sorted(ideal)})
     inv = finite.is_inverse(s)
-    inv_witness = None
-    if not inv:
-        bad = next(x for x in range(s.order) if len(finite.inverses_of(s, x)) != 1)
-        inv_witness = {"element": bad, "inverses": finite.inverses_of(s, bad)}
-    add("inverse", inv, inv_witness)
+    inverses = (finite.inverses_of(s, x) for x in range(s.order))
+    bad = None if inv else next((x, i) for x, i in enumerate(inverses) if len(i) != 1)
+    add("inverse", inv, None if inv else {"element": bad[0], "inverses": bad[1]})
 
     dsc = relations.is_dsc_fast(s)
     dsc_witness = None

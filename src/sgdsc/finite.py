@@ -1,6 +1,6 @@
 """Finite semigroups as validated Cayley tables.
 
-Elements are dense integer indices 0..order-1; names are display-only.
+Elements are dense integer indices 0..order-1.
 Everything here is immutable after construction and safe to share.  A
 table's derived structure (generators, Cayley graphs, Green's classes, its
 kernel) is computed on first use and kept by that table object.  The
@@ -52,10 +52,9 @@ class TooLarge(SemigroupError):
 class FiniteSemigroup:
     order: int
     table: tuple[tuple[int, ...], ...]
-    names: tuple[str, ...]
 
     def __repr__(self):
-        return f"FiniteSemigroup(order={self.order}, names={list(self.names)})"
+        return f"FiniteSemigroup(order={self.order})"
 
     # The table's analysis.  Each part is computed on first use and kept by
     # this object, so the predicates and witness_non_dsc all read one
@@ -129,9 +128,7 @@ class FiniteSemigroup:
         return max(gd.r_class) == max(gd.l_class) == 0
 
 
-def validate_cayley(order: int,
-                    table: Sequence[Sequence[int]],
-                    names: Optional[Sequence[str]] = None) -> FiniteSemigroup:
+def validate_cayley(order: int, table: Sequence[Sequence[int]]) -> FiniteSemigroup:
     """Validate types, dimensions, entry range and associativity.
 
     Integers must be plain ints: bools and floats are rejected.  Associativity
@@ -163,13 +160,7 @@ def validate_cayley(order: int,
         x, g = _first_non_associative(rows, range(order))
         rxg, rx, rg = rows[rows[x][g]], rows[x], rows[g]
         raise NonAssociative(x, g, next(y for y in range(order) if rxg[y] != rx[rg[y]]))
-    if names is None:
-        names = [f"x{i}" for i in range(order)]
-    if not isinstance(names, (list, tuple)) or not all(isinstance(nm, str) for nm in names):
-        raise SemigroupError("names must be a list of strings")
-    if len(names) != order:
-        raise SemigroupError("names length does not match order")
-    s = FiniteSemigroup(order, rows, tuple(names))
+    s = FiniteSemigroup(order, rows)
     object.__setattr__(s, "_generators", gens)  # fills the cached property
     return s
 
@@ -268,7 +259,8 @@ def _first_non_associative(rows: Sequence[tuple[int, ...]], middles: Iterable[in
 
 
 def from_json(text: str) -> FiniteSemigroup:
-    """Parse the Cayley table JSON format; unknown keys are rejected."""
+    """Parse the Cayley table JSON format; unknown keys are rejected.  The
+    optional ``names`` key is validated once the table is, and not kept."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise SemigroupError("expected a JSON object")
@@ -280,7 +272,14 @@ def from_json(text: str) -> FiniteSemigroup:
     order = obj["order"]
     if type(order) is int and order > MAX_ORDER:
         raise TooLarge(f"order {order} exceeds the table input cap {MAX_ORDER}")
-    return validate_cayley(order, obj["table"], obj.get("names"))
+    s = validate_cayley(order, obj["table"])
+    names = obj.get("names")
+    if names is not None:
+        if not isinstance(names, list) or not all(isinstance(nm, str) for nm in names):
+            raise SemigroupError("names must be a list of strings")
+        if len(names) != order:
+            raise SemigroupError("names length does not match order")
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +555,8 @@ def _check_enumeration_order(n: int) -> None:
         raise TooLarge(f"enumeration capped at order {MAX_ENUMERATION_ORDER}, got {n}")
 
 
-def _semigroup(n: int, t: list[int], names: tuple[str, ...]) -> FiniteSemigroup:
-    return FiniteSemigroup(n, tuple(tuple(t[r:r + n]) for r in range(0, n * n, n)), names)
+def _semigroup(n: int, t: list[int]) -> FiniteSemigroup:
+    return FiniteSemigroup(n, tuple(tuple(t[r:r + n]) for r in range(0, n * n, n)))
 
 
 def enumerate_semigroups(n: int) -> Iterator[FiniteSemigroup]:
@@ -567,9 +566,8 @@ def enumerate_semigroups(n: int) -> Iterator[FiniteSemigroup]:
     search of ``_associative_tables``.
     """
     _check_enumeration_order(n)
-    names = tuple(f"x{i}" for i in range(n))
     for t, _ in _associative_tables(n):
-        yield _semigroup(n, t, names)
+        yield _semigroup(n, t)
 
 
 def semigroup_classes(n: int) -> Iterator[tuple[FiniteSemigroup, int]]:
@@ -581,11 +579,10 @@ def semigroup_classes(n: int) -> Iterator[tuple[FiniteSemigroup, int]]:
     class holds n!/|Aut| labeled tables.  Classes come in lexicographic order.
     """
     _check_enumeration_order(n)
-    names = tuple(f"x{i}" for i in range(n))
     relabelings = itertools.permutations(range(n))
     next(relabelings)  # the identity
     for t, automorphisms in _associative_tables(n, list(relabelings)):
-        yield _semigroup(n, t, names), automorphisms
+        yield _semigroup(n, t), automorphisms
 
 
 def count_semigroups(n: int) -> tuple[int, int]:
@@ -602,30 +599,8 @@ def count_semigroups(n: int) -> tuple[int, int]:
 # Canned subjects: the base monoids of the Byleen monoid and the Bruck-Reilly model
 
 def cyclic_group(n: int) -> FiniteSemigroup:
-    return validate_cayley(n, [[(i + j) % n for j in range(n)] for i in range(n)],
-                           [f"g{i}" for i in range(n)])
+    return validate_cayley(n, [[(i + j) % n for j in range(n)] for i in range(n)])
 
 
 def trivial_monoid() -> FiniteSemigroup:
-    return validate_cayley(1, [[0]], ["1"])
-
-
-@dataclass(frozen=True)
-class EndomorphismTable:
-    """An endomorphism of a finite monoid, given elementwise."""
-    base: FiniteSemigroup
-    map: tuple[int, ...]
-
-    def __post_init__(self):
-        e = identity_index(self.base)
-        if e is None:
-            raise SemigroupError("EndomorphismTable.base must be a monoid")
-        if len(self.map) != self.base.order:
-            raise SemigroupError("map length must equal base order")
-        if self.map[e] != e:
-            raise SemigroupError("endomorphism must fix the identity")
-        t = self.base.table
-        for x in range(self.base.order):
-            for y in range(self.base.order):
-                if self.map[t[x][y]] != t[self.map[x]][self.map[y]]:
-                    raise SemigroupError(f"map is not a homomorphism at ({x},{y})")
+    return validate_cayley(1, [[0]])

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 from operator import add, neg, sub
 from typing import Optional
 
-from .finite import EndomorphismTable, SemigroupError, cyclic_group
+from . import finite
+from .finite import FiniteSemigroup, SemigroupError, cyclic_group
 
 
 class ThetaMismatch(SemigroupError):
@@ -64,6 +65,27 @@ def bicyclic_leq(x: BicyclicElement, y: BicyclicElement) -> bool:
 
 # ---------------------------------------------------------------------------
 # Bruck-Reilly extension
+
+@dataclass(frozen=True)
+class EndomorphismTable:
+    """An endomorphism of a finite monoid, given elementwise."""
+    base: FiniteSemigroup
+    map: tuple[int, ...]
+
+    def __post_init__(self):
+        e = finite.identity_index(self.base)
+        if e is None:
+            raise SemigroupError("EndomorphismTable.base must be a monoid")
+        if len(self.map) != self.base.order:
+            raise SemigroupError("map length must equal base order")
+        if self.map[e] != e:
+            raise SemigroupError("endomorphism must fix the identity")
+        t = self.base.table
+        for x in range(self.base.order):
+            for y in range(self.base.order):
+                if self.map[t[x][y]] != t[self.map[x]][self.map[y]]:
+                    raise SemigroupError(f"map is not a homomorphism at ({x},{y})")
+
 
 @dataclass(frozen=True)
 class BRElement:

@@ -115,7 +115,7 @@ def axiom_report(s: FiniteSemigroup, rho: PairSet) -> AxiomReport:
     rows = rho.rows
     found = {
         "contains_diagonal": next(((x, x) for x in range(n) if not rows[x] >> x & 1), None),
-        "is_symmetric": next(((x, y) for (x, y) in rho if not rows[y] >> x & 1), None),
+        "is_symmetric": _first_asymmetric(rho),
         "is_transitive": _first_intransitive(rows),
     }
     preorder = found["contains_diagonal"] is None and found["is_transitive"] is None
@@ -125,6 +125,11 @@ def axiom_report(s: FiniteSemigroup, rho: PairSet) -> AxiomReport:
             ((x, y, z, w) for (x, y) in pairs for (z, w) in pairs
              if not rows[t[x][z]] >> t[y][w] & 1), None)
     return AxiomReport({k: v for k, v in found.items() if v is not None})
+
+
+def _first_asymmetric(rho: PairSet) -> Optional[tuple[int, int]]:
+    """The first (x, y) of rho in sorted order with (y, x) not in it, or None."""
+    return next(((x, y) for (x, y) in rho if not rho.rows[y] >> x & 1), None)
 
 
 def _first_intransitive(rows: Sequence[int]) -> Optional[tuple[int, int, int]]:
@@ -243,15 +248,14 @@ def brute_force_is_dsc(s: FiniteSemigroup) -> tuple[bool, Optional[PairSet]]:
 
     The diagonal subsemigroups come from NextClosure in increasing mask order,
     closed already; the first one that is not symmetric or not transitive
-    (lowest mask) is returned as the witness.  NextClosure skips a candidate
-    whose one-step images leave the mask above it without closing it, so the
-    scan's cost follows the closed masks, plus 2n lookups per skipped
-    candidate.
+    (lowest mask), by axiom_report's own scans, is returned as the witness.
+    NextClosure skips a candidate whose one-step images leave the mask above
+    it without closing it, so the scan's cost follows the closed masks, plus
+    2n lookups per skipped candidate.
     """
     for mask in _closed_masks(s):
         ps = _pair_set(s, mask)
-        rows = ps.rows
-        if not all(rows[y] >> x & 1 and not rows[y] & ~rows[x] for (x, y) in ps):
+        if _first_asymmetric(ps) or _first_intransitive(ps.rows):
             return False, ps
     return True, None
 

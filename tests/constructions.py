@@ -26,9 +26,7 @@ class NotACongruence(SemigroupError):
 
 
 def to_json(s: FiniteSemigroup) -> str:
-    return json.dumps(
-        {"order": s.order, "names": list(s.names), "table": [list(r) for r in s.table]},
-        sort_keys=True)
+    return json.dumps({"order": s.order, "table": [list(r) for r in s.table]}, sort_keys=True)
 
 
 def relabel(s: FiniteSemigroup, perm: Sequence[int]) -> FiniteSemigroup:
@@ -38,10 +36,7 @@ def relabel(s: FiniteSemigroup, perm: Sequence[int]) -> FiniteSemigroup:
     for i in range(n):
         for j in range(n):
             table[perm[i]][perm[j]] = perm[s.table[i][j]]
-    names = [""] * n
-    for i in range(n):
-        names[perm[i]] = s.names[i]
-    return FiniteSemigroup(n, tuple(tuple(r) for r in table), tuple(names))
+    return FiniteSemigroup(n, tuple(tuple(r) for r in table))
 
 
 def natural_partial_order(s: FiniteSemigroup) -> relations.PairSet:
@@ -140,8 +135,7 @@ def rees_matrix(spec: ReesSpec) -> FiniteSemigroup:
         for y, (k, b, l) in enumerate(elems):
             mid = g.table[g.table[a][spec.sandwich[j][k]]][b]
             table[x][y] = index[(i, mid, l)]
-    names = [f"({i},{g.names[a]},{j})" for (i, a, j) in elems]
-    return validate_cayley(n, table, names)
+    return validate_cayley(n, table)
 
 
 def sandwich(s: FiniteSemigroup, a: int) -> FiniteSemigroup:
@@ -150,7 +144,7 @@ def sandwich(s: FiniteSemigroup, a: int) -> FiniteSemigroup:
         raise OutOfRange(a)
     table = [[s.table[s.table[x][a]][y] for y in range(s.order)]
              for x in range(s.order)]
-    return validate_cayley(s.order, table, [f"{nm}^{s.names[a]}" for nm in s.names])
+    return validate_cayley(s.order, table)
 
 
 def quotient(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]]):
@@ -177,8 +171,7 @@ def quotient(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]]):
         classes[cid].append(x)
     table = [[class_of[s.table[classes[a][0]][classes[b][0]]] for b in range(m)]
              for a in range(m)]
-    names = ["{" + "|".join(s.names[x] for x in cls) + "}" for cls in classes]
-    return validate_cayley(m, table, names), class_of
+    return validate_cayley(m, table), class_of
 
 
 def direct_product(a: FiniteSemigroup, b: FiniteSemigroup) -> FiniteSemigroup:
@@ -186,25 +179,44 @@ def direct_product(a: FiniteSemigroup, b: FiniteSemigroup) -> FiniteSemigroup:
     index = {e: k for k, e in enumerate(elems)}
     table = [[index[(a.table[i][k], b.table[j][l])] for (k, l) in elems]
              for (i, j) in elems]
-    names = [f"({a.names[i]},{b.names[j]})" for (i, j) in elems]
-    return validate_cayley(len(elems), table, names)
+    return validate_cayley(len(elems), table)
 
 
 # ---------------------------------------------------------------------------
 # Canned subjects
 
 def left_zero(n: int) -> FiniteSemigroup:
-    return validate_cayley(n, [[i] * n for i in range(n)],
-                           [chr(ord("x") + i) if n <= 3 else f"x{i}" for i in range(n)])
+    return validate_cayley(n, [[i] * n for i in range(n)])
+
+
+def right_zero(n: int) -> FiniteSemigroup:
+    return validate_cayley(n, [list(range(n))] * n)
+
+
+def null_semigroup(n: int) -> FiniteSemigroup:
+    """Every product is 0."""
+    return validate_cayley(n, [[0] * n] * n)
+
+
+def adjoin_zero(s: FiniteSemigroup) -> FiniteSemigroup:
+    """S with a zero adjoined as element s.order."""
+    n = s.order
+    return validate_cayley(n + 1, [row + (n,) for row in s.table] + [(n,) * (n + 1)])
+
+
+def adjoin_identity(s: FiniteSemigroup) -> FiniteSemigroup:
+    """S with an identity adjoined as element s.order."""
+    n = s.order
+    return validate_cayley(n + 1, [row + (x,) for x, row in enumerate(s.table)]
+                           + [tuple(range(n + 1))])
 
 
 def klein_four() -> FiniteSemigroup:
-    return validate_cayley(4, [[i ^ j for j in range(4)] for i in range(4)],
-                           ["1", "a", "b", "ab"])
+    return validate_cayley(4, [[i ^ j for j in range(4)] for i in range(4)])
 
 
 def min_semilattice() -> FiniteSemigroup:
-    return validate_cayley(2, [[0, 0], [0, 1]], ["0", "1"])
+    return validate_cayley(2, [[0, 0], [0, 1]])
 
 
 def symmetric_group_3() -> FiniteSemigroup:
@@ -212,8 +224,7 @@ def symmetric_group_3() -> FiniteSemigroup:
     index = {p: k for k, p in enumerate(perms)}
     # compose left-to-right: (p*q)(x) = q(p(x))
     table = [[index[tuple(q[p[x]] for x in range(3))] for q in perms] for p in perms]
-    names = ["".join(map(str, p)) for p in perms]
-    return validate_cayley(6, table, names)
+    return validate_cayley(6, table)
 
 
 def generate_symmetric_inverse(n: int) -> FiniteSemigroup:
@@ -233,14 +244,7 @@ def generate_symmetric_inverse(n: int) -> FiniteSemigroup:
         gd = dict(g)
         return tuple((d, gd[v]) for (d, v) in f if v in gd)
 
-    table = [[index[compose(f, g)] for g in maps] for f in maps]
-
-    def name(m):
-        if not m:
-            return "0"
-        return "(" + ",".join(f"{d + 1}->{v + 1}" for (d, v) in m) + ")"
-
-    return validate_cayley(len(maps), table, [name(m) for m in maps])
+    return validate_cayley(len(maps), [[index[compose(f, g)] for g in maps] for f in maps])
 
 
 # ---------------------------------------------------------------------------

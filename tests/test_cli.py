@@ -11,6 +11,7 @@ import pytest
 from sgdsc import byleen, cli, finite, relations
 
 import constructions
+import pins
 
 
 @pytest.fixture()
@@ -81,19 +82,24 @@ def test_check_malformed_json(capsys, tmp_path):
         assert "error" in json.loads(err)
 
 
-@pytest.mark.parametrize("doc", [
-    {"order": 2, "table": [["0", 1], [1, 0]]},
-    {"order": 2, "table": [[0.0, 1], [1, 0]]},
-    {"order": 2, "table": 5},
-    {"order": True, "table": [[0]]},
-    {"order": 2, "table": [[0, 1], [1, 0]], "names": [1, 2]},
-], ids=["string-entry", "float-entry", "table-not-list", "bool-order", "int-names"])
-def test_check_rejects_malformed_table(capsys, tmp_path, doc):
+@pytest.mark.parametrize("doc, error", [
+    ({"order": 2, "table": [["0", 1], [1, 0]]}, "table entry '0' is not an integer"),
+    ({"order": 2, "table": [[0.0, 1], [1, 0]]}, "table entry 0.0 is not an integer"),
+    ({"order": 2, "table": 5}, "table must be a list of rows"),
+    ({"order": True, "table": [[0]]}, "order must be a positive integer"),
+    ({"order": 2, "table": [[0, 1], [1, 0]], "names": [1, 2]}, "names must be a list of strings"),
+    ({"order": 2, "table": [[0, 1], [1, 0]], "names": ["a"]}, "names length does not match order"),
+    ({"order": 2, "table": [[0, 1], [1, 0]], "names": "ab"}, "names must be a list of strings"),
+    # the table is validated before the names
+    ({"order": 2, "table": [[0, 1], [0, 0]], "names": 5}, "associativity fails at triple (1,0,1)"),
+], ids=["string-entry", "float-entry", "table-not-list", "bool-order", "int-names",
+        "names-wrong-length", "names-not-a-list", "table-before-names"])
+def test_check_rejects_malformed_table(capsys, tmp_path, doc, error):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, ["check", str(path)])
     assert code == 2 and out == ""
-    assert "error" in json.loads(err)
+    assert json.loads(err) == {"error": error}
 
 
 def test_check_failed_checks_carry_witnesses(capsys, table_file):
@@ -111,83 +117,54 @@ def test_check_deterministic(capsys, table_file):
     assert out1 == out2
 
 
-# Cayley tables of order 16-17 in the shapes of the check-large benchmark, and
-# C255 with an identity adjoined (order 256: its ideal witness has 65 281
-# pairs), built from their definitions and relabeled x -> 7x + 3 (mod n)
-
-def _table(rows):
-    n = len(rows)
-    return finite.validate_cayley(n, rows, [f"x{i}" for i in range(n)])
+# The fast pins of the manifest, run in-process by the three tests below (pins
+# reading a table, `sg models`, the rest); `python tests/pins.py` runs every pin
+# in a subprocess
+_PINS = {pin.name: pin for pin in pins.PINS}
+_FAST = [pin for pin in pins.PINS if pins.is_fast(pin)]
 
 
-_C = finite.cyclic_group
-_LARGE_TABLES = {
-    "C4xC4": constructions.direct_product(_C(4), _C(4)),
-    "rees-C4-2x2": constructions.rees_matrix(constructions.ReesSpec(_C(4), 2, 2, ((0, 1), (2, 3)))),
-    "RZ4xC4": constructions.direct_product(_table([list(range(4))] * 4), _C(4)),
-    "C16-zero": _table([row + (16,) for row in _C(16).table] + [(16,) * 17]),
-    "chain2xC8": constructions.direct_product(constructions.min_semilattice(), _C(8)),
-    "C255^1": _table([row + (x,) for x, row in enumerate(_C(255).table)] + [tuple(range(256))]),
-}
+def _fast_pins(select):
+    chosen = [pin for pin in _FAST if select(pin)]
+    return pytest.mark.parametrize("pin", chosen, ids=[pin.name for pin in chosen])
 
 
-@pytest.fixture()
-def large_table(tmp_path, monkeypatch):
-    """Writes one of _LARGE_TABLES as <name>.json in the working directory."""
+def _code_and_digest(capsys, argv):
+    code, out, _ = run(capsys, list(argv))
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+@_fast_pins(lambda pin: pin.table is not None)
+def test_check_and_witness_output_pinned(capsys, tmp_path, monkeypatch, pin):
     monkeypatch.chdir(tmp_path)
-
-    def write(name):
-        s = _LARGE_TABLES[name]
-        t = constructions.relabel(s, [(7 * x + 3) % s.order for x in range(s.order)]).table
-        path = f"{name}.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"order": len(t), "table": t}, fh)
-        return path
-    return write
+    pins.write_table(pin.table, pin.argv[1])
+    assert _code_and_digest(capsys, pin.argv) == (pin.code, pin.sha256)
 
 
-# sha256 of the stdout of `sg check <name>.json --brute` and `sg witness <name>.json`
-_LARGE_STDOUT = {
-    ("C4xC4", "check"):
-        "77bbd98f6fe9e03ebf56ea3aa8fb1ca21fa138446e27a77ee164f3a31156630f",
-    ("C4xC4", "witness"):
-        "b9e0c7adf38e2d449c297ac090d7b60f85e8b21bdfcbccba8e861f6fb153b52e",
-    ("rees-C4-2x2", "check"):
-        "2627291f0683130ee9b5786f1f476c567571abc43b985faec91ba931b9ba551c",
-    ("rees-C4-2x2", "witness"):
-        "8abb6632627c87dfe0de93a25733a4bc22f4d69e50d7a8e496aafa2a48fc6570",
-    ("RZ4xC4", "check"):
-        "a0b67069367f0a6ac59aa9a9c6a9af951475516dd97edc09b106d514c48231a6",
-    ("RZ4xC4", "witness"):
-        "80f95955ce7b2703ca2f59a50ca0ae0b802bca6ff8913e9243c48adc916368ec",
-    ("C16-zero", "check"):
-        "75fdacea465409bb8f125a52131fbbcd3faf482406fc0b669d9b85f7bfba2997",
-    ("C16-zero", "witness"):
-        "4aacbbfac6a6a83e19f6145d3d27fa9d2c1ec368e9b890180364c92b93ebca35",
-    ("chain2xC8", "check"):
-        "b1050e3fd5edb3451da2bbf034285ed8d768697e706be3a481a21de527aa5280",
-    ("chain2xC8", "witness"):
-        "232cf1e231cd9c53e55080f3710416085299db51e6f3068626d71bfce30c0853",
-    ("C255^1", "check"):
-        "a723a74e4f980f53582f6a96c55d1d413a6a8d0e6fcc1f77606a51e4304cffd9",
-    ("C255^1", "witness"):
-        "4458b92a41b937ef3a8027baa4f82c6e63e38c6380a741b78ca73c4eca5d8f1a",
-}
+@_fast_pins(lambda pin: pin.argv[0] == "models")
+def test_models_output_pinned(capsys, pin):
+    assert _code_and_digest(capsys, pin.argv) == (pin.code, pin.sha256)
 
 
-@pytest.mark.parametrize("name, command", list(_LARGE_STDOUT),
-                         ids=[f"{n}-{c}" for n, c in _LARGE_STDOUT])
-def test_check_and_witness_output_pinned(capsys, large_table, name, command):
-    path = large_table(name)
-    argv = ["check", path, "--brute"] if command == "check" else ["witness", path]
-    code, out, _ = run(capsys, argv)
-    assert code == (1 if (name, command) == ("C4xC4", "witness") else 0)
-    assert hashlib.sha256(out.encode()).hexdigest() == _LARGE_STDOUT[name, command]
+@_fast_pins(lambda pin: pin.table is None and pin.argv[0] != "models")
+def test_enumerate_and_byleen_output_pinned(capsys, pin):
+    assert _code_and_digest(capsys, pin.argv) == (pin.code, pin.sha256)
+
+
+def test_pin_runner_names_the_pin_whose_digest_differs(capsys):
+    pin = _PINS["z"]
+    last = "1" if pin.sha256[-1] == "0" else "0"
+    broken = pin._replace(name="z-broken", sha256=pin.sha256[:-1] + last)
+    assert pins.run([broken]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "0 of 2 pinned runs match\n"
+    assert [line.split(":")[0] for line in captured.err.splitlines() if ": sha256 " in line] == \
+        ["z-broken under -W error", "z-broken under -S -O -W error"]
 
 
 @pytest.mark.parametrize("name, strategy", [("C16-zero", "ideal"), ("rees-C4-2x2", "rees-R"),
                                             ("RZ4xC4", "rees-L")])
-def test_check_and_witness_analyse_the_table_once(capsys, monkeypatch, large_table,
+def test_check_and_witness_analyse_the_table_once(capsys, monkeypatch, tmp_path,
                                                   name, strategy):
     calls = {}
 
@@ -202,10 +179,12 @@ def test_check_and_witness_analyse_the_table_once(capsys, monkeypatch, large_tab
     counting(finite, "greedy_generators")
     counting(finite, "_scc")
     counting(relations, "axiom_report")
-    path = large_table(name)
-    for argv in (["check", path, "--brute"], ["witness", path]):
+    monkeypatch.chdir(tmp_path)
+    check, witness = _PINS[f"{name}-check"], _PINS[f"{name}-witness"]
+    pins.write_table(check.table, check.argv[1])
+    for argv in (check.argv, witness.argv):
         calls.clear()
-        code, out, _ = run(capsys, argv)
+        code, out, _ = run(capsys, list(argv))
         assert code == 0 and strategy in out
         # one generating set, kept from validation; R, L and J components once each;
         # the witness's axioms reported once and reused for its JSON
@@ -493,40 +472,6 @@ def test_models_baer_levi_fields(capsys):
     assert checks["fg_member"]["witness"]["intersection"] == [4]
     assert checks["fh_non_member"]["witness"]["intersection"] == []
     assert checks["membership_pattern"]["pass"] is True
-
-
-# stdout of `sg models <name>`; the suites must not drift
-_MODELS_STDOUT = {
-    "bicyclic":
-        '{"checks": [{"name": "reflexive", "pass": true}, '
-        '{"name": "antisymmetric", "pass": true}, '
-        '{"name": "transitive", "pass": true}, '
-        '{"name": "compatible", "pass": true}, '
-        '{"name": "closed_form_matches_search", "pass": true}, '
-        '{"name": "order_asymmetry_witness", "pass": true}], "model": "bicyclic"}\n',
-    "bruck-reilly":
-        '{"checks": [{"name": "projection_homomorphism_theta_identity", "pass": true}, '
-        '{"name": "pulled_back_order_asymmetry_theta_identity", "pass": true}, '
-        '{"name": "projection_homomorphism_theta_constant", "pass": true}, '
-        '{"name": "pulled_back_order_asymmetry_theta_constant", "pass": true}], '
-        '"model": "bruck-reilly"}\n',
-    "baer-levi":
-        '{"checks": [{"name": "fg_member", "pass": true, "witness": {"intersection": [4]}}, '
-        '{"name": "gh_member", "pass": true, '
-        '"witness": {"intersection": [1, 5, 9, 13, 17, 21, 25, 29]}}, '
-        '{"name": "fh_non_member", "pass": true, "witness": {"intersection": []}}, '
-        '{"name": "membership_pattern", "pass": true}], "model": "baer-levi"}\n',
-    "z":
-        '{"checks": [{"name": "member_2_5", "pass": true}, '
-        '{"name": "non_member_5_2", "pass": true}, '
-        '{"name": "diagonal", "pass": true}], "model": "z"}\n',
-}
-
-
-@pytest.mark.parametrize("name", list(_MODELS_STDOUT))
-def test_models_output_pinned(capsys, name):
-    code, out, _ = run(capsys, ["models", name])
-    assert code == 0 and out == _MODELS_STDOUT[name]
 
 
 def test_timing_only_with_flag(capsys, table_file):

@@ -359,14 +359,24 @@ def test_nonlinear_use_raises_instead_of_proving(monkeypatch):
 
 
 def _theta(mapping):
-    return finite.EndomorphismTable(finite.cyclic_group(2), mapping)
+    return infinite.EndomorphismTable(finite.cyclic_group(2), mapping)
+
+
+def test_endomorphism_table_validation():
+    c2 = finite.cyclic_group(2)
+    infinite.EndomorphismTable(c2, (0, 1))
+    infinite.EndomorphismTable(c2, (0, 0))
+    with pytest.raises(finite.SemigroupError):
+        infinite.EndomorphismTable(c2, (1, 0))  # does not fix the identity
+    with pytest.raises(finite.SemigroupError):
+        infinite.EndomorphismTable(constructions.left_zero(2), (0, 1))  # not a monoid
 
 
 def _endomorphisms(base):
     out = []
     for mapping in itertools.product(range(base.order), repeat=base.order):
         try:
-            out.append(finite.EndomorphismTable(base, mapping))
+            out.append(infinite.EndomorphismTable(base, mapping))
         except finite.SemigroupError:
             pass
     return out
@@ -438,7 +448,7 @@ def test_br_suite_refutes_mutated_mul(monkeypatch):
 
 def test_br_proof_refuses_period_two_orbit():
     # on C3's automorphism swapping 1 and 2, θ^k(1) depends on k mod 2
-    theta = finite.EndomorphismTable(finite.cyclic_group(3), (0, 2, 1))
+    theta = infinite.EndomorphismTable(finite.cyclic_group(3), (0, 2, 1))
     assert [infinite.theta_power(theta, 1, k) for k in range(4)] == [1, 2, 1, 2]
 
     with pytest.raises(TypeError):
