@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from sgdsc import finite, relations
+from sgdsc.byleen import ALetter, BLetter, SElem
 from sgdsc.finite import FiniteSemigroup, OutOfRange, SemigroupError, validate_cayley
 
 
@@ -211,8 +212,14 @@ def adjoin_identity(s: FiniteSemigroup) -> FiniteSemigroup:
                            + [tuple(range(n + 1))])
 
 
+def xor_group(k: int) -> FiniteSemigroup:
+    """C2^k, the elementary abelian group of order 2^k, as XOR on 0..2^k - 1."""
+    n = 1 << k
+    return validate_cayley(n, [[i ^ j for j in range(n)] for i in range(n)])
+
+
 def klein_four() -> FiniteSemigroup:
-    return validate_cayley(4, [[i ^ j for j in range(4)] for i in range(4)])
+    return xor_group(2)
 
 
 def min_semilattice() -> FiniteSemigroup:
@@ -245,6 +252,13 @@ def generate_symmetric_inverse(n: int) -> FiniteSemigroup:
         return tuple((d, gd[v]) for (d, v) in f if v in gd)
 
     return validate_cayley(len(maps), [[index[compose(f, g)] for g in maps] for f in maps])
+
+
+def letter_pool() -> list:
+    """The letters a(n,si), b(n,si) for n <= 2, i <= 1, and s0, s1: the
+    alphabet of random words over the Byleen monoid on C2."""
+    return [*(ALetter(n, s) for n in range(3) for s in range(2)),
+            *(BLetter(n, s) for n in range(3) for s in range(2)), SElem(0), SElem(1)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Pinned stdout: one entry per command whose output must not drift.
 
+This is the one list of exact ``sg`` stdouts the tests hold; the only other
+is test_cli's span under ``-X int_max_str_digits=640``, a flag no pin sets.
 Each pin names a command, the Cayley table it reads (if any), its argv, the
 sha256 of its stdout, its timeout in seconds and its exit code.  A pin with
 a table runs ``sg <argv>`` with the table written to ``argv[1]`` in the
@@ -95,6 +97,8 @@ _LZ256 = Table(256, lambda: constructions.left_zero(256))
 _RZ1024 = Table(1024, lambda: constructions.right_zero(1024))
 _NULL1024 = Table(1024, lambda: constructions.null_semigroup(1024))
 
+# the word g of the short byleen pins
+_G = "b(0,s0) s1 a(0,s0)"
 # the length-32 words of the byleen span pins: B s1 A with B and A differing
 # from the other word's at every letter
 _A32 = " ".join(f"a({i % 3},s{i % 2})" for i in range(32))
@@ -173,13 +177,45 @@ PINS = (
         "a0cc74799e2d03636b5460fb0fd124e67ef33e4399b2acbbfdf3d39a3a056aaf", 10),
     Pin("z", None, ("models", "z"),
         "d0238ebdb0c4909960f8e7249bc31baf4f3976e9a3ab26312547f53e28de2e03", 10),
-    # the enumeration goldens; test_cli.py states them literally
+    # the enumeration goldens, each stdout one JSON line (test_cli.py holds
+    # the lines of the --oracle and --count pins and checks they hash to these
+    # digests): 8 labeled tables at order 2, 2 of them groups, witness
+    # strategies ideal 4, rees-L 1, rees-R 1; 113 at order 3, 3 groups, 108 / 1
+    # / 1; 3492 at order 4, 16 groups, 3444 / 13 / 19; 183 732 labeled tables
+    # in 1915 isomorphism classes at order 5
+    Pin("enumerate-2-oracle", None, ("enumerate", "2", "--oracle"),
+        "71719c2e9d001481fc7489fe7f232ef77774985c2184ac47a2e6823a01929500", 30),
+    Pin("enumerate-3-oracle", None, ("enumerate", "3", "--oracle"),
+        "d2e86d1889e70e179991e50a1b5437bb1a4f8ee6961bf5b7cc73356459c2ae62", 30),
     Pin("enumerate-4-oracle", None, ("enumerate", "4", "--oracle"),
         "1b380f5fa52e402cf2efbd58641279845cdac752c57e94cad3b0fbb4a9a4b6b8", 30),
     Pin("enumerate-5-count", None, ("enumerate", "5", "--count"),
         "a827c91fc2c70f1ec360acba91d4ebca51a3e4e6144e6480c11c727908383bd7", 30),
+    # every labeled table of orders 3 and 4, one JSON line each
+    Pin("enumerate-3", None, ("enumerate", "3"),
+        "6db82081f3787c25c8cc9887348ee87b1fa66cf83b14549fe5e7ce13ba4f56e0", 30),
+    Pin("enumerate-4", None, ("enumerate", "4"),
+        "b4afa0f64d131c7a3ad239a11a041fa62f8ad3539c3eea241cd995897ab85cd7", 30),
     # byleen: -O shows the certificate re-checks still run, as they are
-    # explicit raises; one b-words-differ and one a-words-differ span
+    # explicit raises; a span for each case and inverses of words with one,
+    # two and four letters on each side of the base element
+    Pin("byleen-equal-words", None, ("byleen", "span", _G, "b(0,s0) s0 a(0,s0)", "s1", "a(0,s0)"),
+        "63082745a4698310eefb1a2cfe6b721769f4a1a45cc4f1bcb3d0ca76b253e9fd", 30),
+    Pin("byleen-a-words-differ", None,
+        ("byleen", "span", _G, "b(0,s0) s0 a(1,s1)", "s1", "a(0,s0)"),
+        "437ab11aa0c975aae67b53a0b009f878c3daa2db0a26e4df44834ed414b4eb20", 30),
+    Pin("byleen-b-words-differ", None,
+        ("byleen", "span", _G, "b(1,s0) s0 a(0,s0)", "s1", "a(0,s0)"),
+        "5a11026947fc85742f44657b40a33e554cd7c25763172921b889c4d7706029f5", 30),
+    Pin("byleen-both-differ", None, ("byleen", "span", "a(0,s0)", "b(0,s0)", "s1", "a(2,s1)"),
+        "624e6b7c7f5ee2cc3f6356d090c513374c0ab300b62b6128221c69af5e527864", 30),
+    Pin("byleen-both-differ-trivial", None,
+        ("byleen", "span", "b(0,s0)", "a(0,s0)", "1", "a(1,s0)", "--base", "trivial"),
+        "b5eeea5a2103a06b6542d73924b5b7363f2dca98a8ccfd74960c44c0a78bf76a", 30),
+    Pin("byleen-inverse-1", None, ("byleen", "inverse", _G),
+        "636de446dff67ee46ed39188c169313cf7d135597cd20a7b9dbae77a45771682", 30),
+    Pin("byleen-inverse-2", None, ("byleen", "inverse", "b(1,s1) b(0,s0) s1 a(2,s0) a(0,s1)"),
+        "0d4652baa232252a4756ae8e6c197f65374396a467bb455c91785ec70b536b32", 30),
     Pin("byleen-inverse", None, ("byleen", "inverse", "b(1,s1) b(0,s0) b(2,s1) b(3,s0) s1 "
                                  "a(2,s0) a(0,s1) a(3,s1) a(1,s0)"),
         "56204ff4b5fd4453b19e3ee9f7a29aa2f210b4ad3fd664bb3c2953f5b081c8b7", 30),
@@ -215,10 +251,8 @@ def subset_scan() -> None:
     subgroups (OEIS A006116), and LZ8xC8's scan names its first
     non-congruence.  It raises the cap for the rest of the process."""
     relations.SUBSET_SCAN_MAX_ORDER = 64
-    c2_5 = finite.validate_cayley(32, [[x ^ y for y in range(32)] for x in range(32)])
-    print(sum(1 for _ in relations._closed_masks(c2_5)))
-    lz8_c8 = finite.validate_cayley(64, [[x // 8 * 8 + (x + y) % 8 for y in range(64)]
-                                         for x in range(64)])
+    print(constructions.count_diagonal_subsemigroups(constructions.xor_group(5)))
+    lz8_c8 = constructions.direct_product(constructions.left_zero(8), finite.cyclic_group(8))
     ok, witness = relations.brute_force_is_dsc(lz8_c8)
     print(ok, witness.sorted_pairs())
 

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from sgdsc import byleen, finite, infinite, relations
-from sgdsc.byleen import ALetter, BLetter, NormalForm, SElem
+from sgdsc.byleen import ALetter, BLetter, NormalForm
 
 import constructions
 
@@ -63,24 +63,23 @@ def test_criterion_2_order_4_sweep():
           f"{total} tables, {groups} group tables fully scanned, {elapsed:.1f}s")
 
 
-def _congruence_count(s):
-    """Congruences counted independently: all set partitions, axiom-filtered."""
+def _all_congruences(s):
+    """Congruences found independently: all set partitions, axiom-filtered."""
     n = s.order
-    count = 0
+    found = []
 
     def grow(rgs, mx):
-        nonlocal count
         if len(rgs) == n:
-            pairs = [(i, j) for i in range(n) for j in range(n)
-                     if rgs[i] == rgs[j]]
+            pairs = frozenset((i, j) for i in range(n) for j in range(n)
+                              if rgs[i] == rgs[j])
             if relations.axiom_report(s, relations.PairSet.from_pairs(s, pairs)).is_congruence:
-                count += 1
+                found.append(pairs)
             return
         for v in range(mx + 2):
             grow(rgs + [v], max(mx, v))
 
     grow([0], 0)
-    return count
+    return found
 
 
 def test_criterion_3_group_diagonal_subsemigroups_are_congruences():
@@ -92,7 +91,7 @@ def test_criterion_3_group_diagonal_subsemigroups_are_congruences():
         ok, _ = relations.brute_force_is_dsc(s)  # every closed superset passes
         assert ok
         diag_count = constructions.count_diagonal_subsemigroups(s)
-        assert diag_count == _congruence_count(s) == golden[name]
+        assert diag_count == len(_all_congruences(s)) == golden[name]
         counts[name] = diag_count
     _line(3, counts == golden, f"diagonal subsemigroups == congruences: {counts}")
 
@@ -114,17 +113,10 @@ def test_criterion_4_symmetric_inverse_order():
                  f"non-symmetric; witness strategy {strategy}")
 
 
-def _letter_pool():
-    pool = [ALetter(n, s) for n in range(3) for s in range(2)]
-    pool += [BLetter(n, s) for n in range(3) for s in range(2)]
-    pool += [SElem(0), SElem(1)]
-    return pool
-
-
 def test_criterion_5_rewriting():
     m = byleen.TwoTransitiveMatrix(finite.cyclic_group(2))
     rng = random.Random(42)
-    pool = _letter_pool()
+    pool = constructions.letter_pool()
     for _ in range(1000):
         word = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
         nf = byleen.reduce(m, word)
@@ -150,7 +142,7 @@ def test_criterion_6_span_certificates():
     start = time.perf_counter()
     m = byleen.TwoTransitiveMatrix(finite.cyclic_group(2))
     rng = random.Random(7)
-    pool = _letter_pool()
+    pool = constructions.letter_pool()
     tags = {"equal-words": 0, "a-words-differ": 0, "b-words-differ": 0,
             "both-differ": 0}
     verified = 0
@@ -215,24 +207,6 @@ def test_criterion_8_infinite_models():
     assert infinite.apset_is_empty(
         infinite.apset_intersect(w["f"].complement, w["h"].complement))
     _line(8, True, f"model suites {sorted(infinite.MODELS)} + Baer-Levi {pattern}")
-
-
-def _all_congruences(s):
-    n = s.order
-    found = []
-
-    def grow(rgs, mx):
-        if len(rgs) == n:
-            pairs = frozenset((i, j) for i in range(n) for j in range(n)
-                              if rgs[i] == rgs[j])
-            if relations.axiom_report(s, relations.PairSet.from_pairs(s, pairs)).is_congruence:
-                found.append(pairs)
-            return
-        for v in range(mx + 2):
-            grow(rgs + [v], max(mx, v))
-
-    grow([0], 0)
-    return found
 
 
 def test_criterion_9_quotients_and_pullbacks():

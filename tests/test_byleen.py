@@ -16,13 +16,6 @@ def mat():
     return byleen.TwoTransitiveMatrix(finite.cyclic_group(2))
 
 
-def random_letters(rng, max_n=2, max_s=1):
-    pool = [ALetter(n, s) for n in range(max_n + 1) for s in range(max_s + 1)]
-    pool += [BLetter(n, s) for n in range(max_n + 1) for s in range(max_s + 1)]
-    pool += [SElem(s) for s in range(max_s + 1)]
-    return pool
-
-
 def random_nf(mat, rng):
     v = tuple(BLetter(rng.randint(0, 2), rng.randint(0, 1))
               for _ in range(rng.randint(0, 2)))
@@ -289,7 +282,7 @@ def test_reduce_already_normal(mat):
 
 def test_reduce_idempotent_and_shortening(mat):
     rng = random.Random(4)
-    pool = random_letters(rng)
+    pool = constructions.letter_pool()
     for _ in range(200):
         word = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
         nf = byleen.reduce(mat, word)
@@ -299,7 +292,7 @@ def test_reduce_idempotent_and_shortening(mat):
 
 def test_reduce_strategy_independence(mat):
     rng = random.Random(5)
-    pool = random_letters(rng)
+    pool = constructions.letter_pool()
     for _ in range(200):
         word = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
         assert byleen.reduce(mat, word) == byleen.reduce_rightmost(mat, word)

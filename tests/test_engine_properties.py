@@ -206,23 +206,12 @@ def raw_tables(draw):
     return draw(st.lists(row, min_size=n, max_size=n))
 
 
-def table_semigroup(rows):
-    return finite.validate_cayley(len(rows), rows)
-
-
-def adjoin(s, zero):
-    """S with a new zero (zero=True) or a new identity appended as element n."""
-    n = s.order
-    rows = [list(r) + [n if zero else i] for i, r in enumerate(s.table)]
-    rows.append([n] * (n + 1) if zero else list(range(n + 1)))
-    return table_semigroup(rows)
-
-
 BASES = [finite.cyclic_group(k) for k in (1, 2, 3, 4)] + \
     [constructions.left_zero(k) for k in (1, 2, 3)] + \
-    [table_semigroup([list(range(k))] * k) for k in (2, 3)] + \
-    [table_semigroup([[min(i, j) for j in range(k)] for i in range(k)]) for k in (2, 3)] + \
-    [table_semigroup([[0] * k for _ in range(k)]) for k in (2, 3)] + \
+    [constructions.right_zero(k) for k in (2, 3)] + \
+    [finite.validate_cayley(k, [[min(i, j) for j in range(k)] for i in range(k)])
+     for k in (2, 3)] + \
+    [constructions.null_semigroup(k) for k in (2, 3)] + \
     [constructions.symmetric_group_3(), constructions.generate_symmetric_inverse(2)]
 
 
@@ -246,7 +235,7 @@ def semigroups(draw, max_order=24):
             if s.order * other.order <= max_order:
                 s = constructions.direct_product(s, other)
         elif s.order < max_order:
-            s = adjoin(s, zero=op == "zero")
+            s = (constructions.adjoin_zero if op == "zero" else constructions.adjoin_identity)(s)
     return constructions.relabel(s, draw(st.permutations(range(s.order))))
 
 
@@ -584,22 +573,15 @@ def test_one_step_filter_keeps_every_closed_mask_on_order_4_classes():
         check_one_step_filter(s)
 
 
-def xor_group(k):
-    """C2^k, the elementary abelian group of order 2^k, as XOR on 0..2^k - 1."""
-    n = 1 << k
-    return table_semigroup([[i ^ j for j in range(n)] for i in range(n)])
-
-
 # orders 8 and 9, above the subset scan's cap
 ABOVE_CAP = {
-    "C2^3": xor_group(3),
+    "C2^3": constructions.xor_group(3),
     "C4xC2": constructions.direct_product(finite.cyclic_group(4), finite.cyclic_group(2)),
     "LZ2xC4": constructions.direct_product(constructions.left_zero(2), finite.cyclic_group(4)),
-    "RZ2xC4": constructions.direct_product(table_semigroup([[0, 1], [0, 1]]),
-                                           finite.cyclic_group(4)),
+    "RZ2xC4": constructions.direct_product(constructions.right_zero(2), finite.cyclic_group(4)),
     "chain2xC4": constructions.direct_product(constructions.min_semilattice(),
                                               finite.cyclic_group(4)),
-    "C8^0": adjoin(finite.cyclic_group(8), zero=True),
+    "C8^0": constructions.adjoin_zero(finite.cyclic_group(8)),
 }
 
 
@@ -627,14 +609,14 @@ def test_elementary_abelian_groups_list_their_subgroup_counts(monkeypatch):
     # and C2^4 their 16 and 67 subgroups (OEIS A006116), an oracle
     # independent of both loops
     monkeypatch.setattr(relations, "SUBSET_SCAN_MAX_ORDER", 16)
-    assert constructions.count_diagonal_subsemigroups(xor_group(3)) == 16
-    assert constructions.count_diagonal_subsemigroups(xor_group(4)) == 67
+    assert constructions.count_diagonal_subsemigroups(constructions.xor_group(3)) == 16
+    assert constructions.count_diagonal_subsemigroups(constructions.xor_group(4)) == 67
 
 
 def test_one_step_filter_bounds_the_closures_on_c2_4(monkeypatch):
     # closing every candidate takes 11 827 closures to list C2^4's 67 masks;
     # the filter leaves 352
-    s = xor_group(4)
+    s = constructions.xor_group(4)
     monkeypatch.setattr(relations, "SUBSET_SCAN_MAX_ORDER", 16)
     calls = []
     pair_orbit = finite._pair_orbit

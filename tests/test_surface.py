@@ -123,3 +123,13 @@ def test_no_library_function_calls_itself():
                     and call.func.id == node.name for call in ast.walk(node)):
                 recursive.append(f"{mod}.{node.name}")
     assert recursive == []
+
+
+def test_no_check_depends_on_debug_mode():
+    """No ``assert`` and no read of ``__debug__``: every certificate re-check
+    and validation still runs under ``python -O``."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted(LIB.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)
+             or isinstance(node, ast.Name) and node.id == "__debug__"]
+    assert found == []
