@@ -22,11 +22,10 @@ not by recursion depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from collections.abc import Sequence
 
 from . import finite
-from .finite import FiniteSemigroup, SemigroupError, identity_index
+from .finite import FiniteSemigroup, SemigroupError, _set, _Value, identity_index
 
 
 class EqualIndices(SemigroupError):
@@ -55,24 +54,48 @@ def _certify(ok: bool, what: str) -> None:
         raise CertificateError(f"certificate re-check failed: {what}")
 
 
-@dataclass(frozen=True)
-class ALetter:
-    n: int
-    s: int
+class _IndexedLetter(_Value):
+    """A letter with an index n and a base element s; equal only to a letter
+    of its own class."""
+    _fields = ("n", "s")
+
+    def __init__(self, n: int, s: int):
+        _set(self, "n", n)
+        _set(self, "s", s)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.s) == (other.n, other.s)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.s))
 
 
-@dataclass(frozen=True)
-class BLetter:
-    n: int
-    s: int
+class ALetter(_IndexedLetter):
+    """The letter a(n, s) of A."""
 
 
-@dataclass(frozen=True)
-class SElem:
-    s: int
+class BLetter(_IndexedLetter):
+    """The letter b(n, s) of B."""
 
 
-Letter = Union[ALetter, BLetter, SElem]
+class SElem(_Value):
+    _fields = ("s",)
+
+    def __init__(self, s: int):
+        _set(self, "s", s)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.s == other.s
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.s,))
+
+
+Letter = ALetter | BLetter | SElem
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +158,7 @@ def _delta_at(r: int, rest: int) -> tuple[int, int]:
     return (payload | 1 << length - 1) - 1, left
 
 
-def _decode(t: int) -> Optional[tuple[int, ...]]:
+def _decode(t: int) -> tuple[int, ...] | None:
     if t < 1:
         return None
     rest = t.bit_length() - 1
@@ -177,7 +200,7 @@ class TwoTransitiveMatrix:
         self._memo: dict[tuple[int, int, int], Letter] = {}
         # letter index -> decoded requirement or None, filled on lookup and never
         # at mint time, so a fresh letter's re-check reads it through _decode
-        self._reqs: dict[int, Optional[tuple[int, ...]]] = {}
+        self._reqs: dict[int, tuple[int, ...] | None] = {}
 
     # letter <-> index bookkeeping: S first, then A and B letters interleaved
     def w_index(self, w: Letter) -> int:
@@ -193,7 +216,7 @@ class TwoTransitiveMatrix:
         q, r = divmod(idx - k, 2)
         return (BLetter if r else ALetter)(*divmod(q, k))
 
-    def _requirement(self, n: int) -> Optional[tuple[int, ...]]:
+    def _requirement(self, n: int) -> tuple[int, ...] | None:
         if n not in self._reqs:
             self._reqs[n] = _decode(n - 1)
         return self._reqs[n]
@@ -264,12 +287,23 @@ def b_act(m: TwoTransitiveMatrix, s: int, b: BLetter) -> BLetter:
     return BLetter(b.n, m.base.table[s][b.s])
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    v: tuple[BLetter, ...]
-    s: int
-    u: tuple[ALetter, ...]
-    mat: TwoTransitiveMatrix
+class NormalForm(_Value):
+    _fields = ("v", "s", "u", "mat")
+
+    def __init__(self, v: tuple[BLetter, ...], s: int, u: tuple[ALetter, ...],
+                 mat: TwoTransitiveMatrix):
+        _set(self, "v", v)
+        _set(self, "s", s)
+        _set(self, "u", u)
+        _set(self, "mat", mat)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.v, self.s, self.u, self.mat) == (other.v, other.s, other.u, other.mat)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.v, self.s, self.u, self.mat))
 
     def is_identity(self) -> bool:
         return not self.v and not self.u and self.s == self.mat.identity
@@ -301,7 +335,7 @@ def letter_nf(m: TwoTransitiveMatrix, w: Letter) -> NormalForm:
     return reduce(m, [w])
 
 
-def _redex(m: TwoTransitiveMatrix, left: Letter, right: Letter) -> Optional[Letter]:
+def _redex(m: TwoTransitiveMatrix, left: Letter, right: Letter) -> Letter | None:
     if isinstance(left, ALetter):
         if isinstance(right, SElem):
             return a_act(m, left, right.s)
@@ -534,12 +568,14 @@ def claim5(m: TwoTransitiveMatrix, v: Sequence[BLetter],
 GEN = "gen"
 
 
-@dataclass(frozen=True)
-class PairExpr:
+class PairExpr(_Value):
     """A product of diagonal factors and the generator pair, with evaluation."""
-    factors: tuple  # entries: ("diag", NormalForm) or ("gen",)
-    gen: tuple[NormalForm, NormalForm]
-    case: str
+    _fields = ("factors", "gen", "case")
+
+    def __init__(self, factors: tuple, gen: tuple[NormalForm, NormalForm], case: str):
+        _set(self, "factors", factors)  # entries: ("diag", NormalForm) or ("gen",)
+        _set(self, "gen", gen)
+        _set(self, "case", case)
 
     def evaluate(self) -> tuple[NormalForm, NormalForm]:
         g, h = self.gen

@@ -30,8 +30,22 @@ _LOAD_ERRORS = (OSError, ValueError, RecursionError, finite.SemigroupError)
 
 
 def _load_table(path: str) -> finite.FiniteSemigroup:
-    with open(path, "r", encoding="utf-8") as fh:
-        return finite.from_json(fh.read())
+    """Read at most MAX_TABLE_BYTES, so an endless or huge file is refused
+    before it fills memory.
+
+    The file is read in 64 KiB chunks: one read of the whole cap would
+    allocate 16 MiB for every table, however small.  The bytes are decoded
+    as a text-mode ``read()`` decodes them, newlines translated, so JSON
+    and UTF-8 error positions stay the same.
+    """
+    data = bytearray()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            data += chunk
+            if len(data) > finite.MAX_TABLE_BYTES:
+                raise finite.TooLarge(
+                    f"table file exceeds the input cap of {finite.MAX_TABLE_BYTES} bytes")
+    return finite.from_json(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Finite semigroups as validated Cayley tables.
 
 Elements are dense integer indices 0..order-1.
-Everything here is immutable after construction and safe to share.  A
+Everything here is immutable after construction and safe to share: the
+value classes derive from ``_Value``, whose ``__setattr__`` and
+``__delattr__`` raise AttributeError, so only a constructor sets fields,
+through ``object.__setattr__``.  A
 table's derived structure (generators, Cayley graphs, Green's classes, its
 kernel) is computed on first use and kept by that table object.  The
 simplicity and group tests read that structure, not the table: the kernel
@@ -17,8 +20,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 # Largest order from_json accepts; checked before any table loop runs.  Light's
 # test costs |G|·d·n for a generating set G and d distinct rows: up to order 256
@@ -26,6 +28,11 @@ from typing import Iterable, Iterator, Optional, Sequence
 # table of rank n with all rows distinct at this cap (LZ_1024) takes tens of
 # seconds to validate, and one with a single distinct row (RZ_1024) under one.
 MAX_ORDER = 1024
+
+# Most bytes a table file may hold; the CLI reads no further.  A table at
+# MAX_ORDER takes about 5.2 MB as json.dumps writes it and 11.5 MB indented
+# by 2 with names, so every such table fits.
+MAX_TABLE_BYTES = 16 * 2**20
 
 
 class SemigroupError(Exception):
@@ -48,10 +55,53 @@ class TooLarge(SemigroupError):
     pass
 
 
-@dataclass(frozen=True)
-class FiniteSemigroup:
-    order: int
-    table: tuple[tuple[int, ...], ...]
+# The library's value classes are plain classes on _Value, not frozen
+# dataclasses, and no module imports dataclasses or typing.  @dataclass
+# generates each class's methods with exec at import, about 0.5 ms a class,
+# and the dataclasses module imports inspect.  With both modules, `import
+# sgdsc.cli` after argparse and json took 24 ms; without them it takes 3 ms
+# (Python 3.11, python -S, bytecode cached).  Every `sg` command pays that at
+# start, against well under 1 ms of work on the paper's small inputs.
+# A subclass lists its fields in _fields and sets them in its own __init__
+# with _set; the hot ones (byleen's letters and NormalForm, BicyclicElement,
+# CoInjection) also write out __eq__ and __hash__, which a generic loop over
+# _fields makes measurably slower.  Equality is field-wise within one class,
+# and hashes are those of the field tuple, as a frozen dataclass has them.
+
+_set = object.__setattr__
+
+
+class _Value:
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FiniteSemigroup(_Value):
+    _fields = ("order", "table")
+
+    def __init__(self, order: int, table: tuple[tuple[int, ...], ...]):
+        _set(self, "order", order)
+        _set(self, "table", table)
 
     def __repr__(self):
         return f"FiniteSemigroup(order={self.order})"
@@ -96,7 +146,7 @@ class FiniteSemigroup:
         return GreensData(r, l, j, h)
 
     @functools.cached_property
-    def _proper_ideal(self) -> Optional[frozenset[int]]:
+    def _proper_ideal(self) -> frozenset[int] | None:
         """The kernel, S's least ideal, when it is proper; None when S is simple.
 
         Every element reaches the kernel in the two-sided Cayley graph, so it
@@ -110,7 +160,7 @@ class FiniteSemigroup:
         return frozenset(x for x, c in enumerate(comp) if c == 0)
 
     @functools.cached_property
-    def _identity(self) -> Optional[int]:
+    def _identity(self) -> int | None:
         """The e with eg = ge = g for every generator g, hence for all of S."""
         right, left = self._cayley_graphs
         gens = tuple(self._generators)
@@ -161,7 +211,7 @@ def validate_cayley(order: int, table: Sequence[Sequence[int]]) -> FiniteSemigro
         rxg, rx, rg = rows[rows[x][g]], rows[x], rows[g]
         raise NonAssociative(x, g, next(y for y in range(order) if rxg[y] != rx[rg[y]]))
     s = FiniteSemigroup(order, rows)
-    object.__setattr__(s, "_generators", gens)  # fills the cached property
+    _set(s, "_generators", gens)  # fills the cached property
     return s
 
 
@@ -228,7 +278,7 @@ _BYTES_MAX_ORDER = 256
 
 
 def _first_non_associative(rows: Sequence[tuple[int, ...]], middles: Iterable[int]
-                           ) -> Optional[tuple[int, int]]:
+                           ) -> tuple[int, int] | None:
     """The first (x, g), x ascending and then g in the order of ``middles``,
     for which row x·g differs from x·(g·y) over all y; None if every pair
     agrees.  Rows are compared whole: x·(g·y) over all y is row g passed
@@ -285,12 +335,15 @@ def from_json(text: str) -> FiniteSemigroup:
 # ---------------------------------------------------------------------------
 # Green's relations
 
-@dataclass(frozen=True)
-class GreensData:
-    r_class: tuple[int, ...]
-    l_class: tuple[int, ...]
-    j_class: tuple[int, ...]
-    h_class: tuple[int, ...]
+class GreensData(_Value):
+    _fields = ("r_class", "l_class", "j_class", "h_class")
+
+    def __init__(self, r_class: tuple[int, ...], l_class: tuple[int, ...],
+                 j_class: tuple[int, ...], h_class: tuple[int, ...]):
+        _set(self, "r_class", r_class)
+        _set(self, "l_class", l_class)
+        _set(self, "j_class", j_class)
+        _set(self, "h_class", h_class)
 
 
 def _classes_from_keys(keys: list) -> tuple[int, ...]:
@@ -362,13 +415,13 @@ def is_simple(s: FiniteSemigroup) -> bool:
     return s._proper_ideal is None
 
 
-def proper_ideal(s: FiniteSemigroup) -> Optional[frozenset[int]]:
+def proper_ideal(s: FiniteSemigroup) -> frozenset[int] | None:
     """The kernel (least two-sided ideal) when S is not simple, else None.
     It is also the smallest proper principal ideal."""
     return s._proper_ideal
 
 
-def identity_index(s: FiniteSemigroup) -> Optional[int]:
+def identity_index(s: FiniteSemigroup) -> int | None:
     return s._identity
 
 
@@ -497,7 +550,7 @@ def _associative_tables(n: int, symmetries: Sequence[Sequence[int]] = ()
                     return False
         return True
 
-    def undecided(live: list) -> Optional[tuple[list, int]]:
+    def undecided(live: list) -> tuple[list, int] | None:
         """The symmetries whose comparison a known cell still leaves open, each
         with the cell it stopped at, and how many fix the table; None when
         some image is smaller."""

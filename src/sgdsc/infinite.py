@@ -24,12 +24,10 @@ express, and the prover raises TypeError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import add, neg, sub
-from typing import Optional
 
 from . import finite
-from .finite import FiniteSemigroup, SemigroupError, cyclic_group
+from .finite import FiniteSemigroup, SemigroupError, _set, _Value, cyclic_group
 
 
 class ThetaMismatch(SemigroupError):
@@ -39,14 +37,22 @@ class ThetaMismatch(SemigroupError):
 # ---------------------------------------------------------------------------
 # Bicyclic monoid
 
-@dataclass(frozen=True)
-class BicyclicElement:
-    m: int
-    n: int
+class BicyclicElement(_Value):
+    _fields = ("m", "n")
 
-    def __post_init__(self):
-        if self.m < 0 or self.n < 0:
+    def __init__(self, m: int, n: int):
+        if m < 0 or n < 0:
             raise SemigroupError("bicyclic coordinates must be non-negative")
+        _set(self, "m", m)
+        _set(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.m, self.n) == (other.m, other.n)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.m, self.n))
 
 
 def bicyclic_mul(x: BicyclicElement, y: BicyclicElement) -> BicyclicElement:
@@ -66,39 +72,39 @@ def bicyclic_leq(x: BicyclicElement, y: BicyclicElement) -> bool:
 # ---------------------------------------------------------------------------
 # Bruck-Reilly extension
 
-@dataclass(frozen=True)
-class EndomorphismTable:
+class EndomorphismTable(_Value):
     """An endomorphism of a finite monoid, given elementwise."""
-    base: FiniteSemigroup
-    map: tuple[int, ...]
+    _fields = ("base", "map")
 
-    def __post_init__(self):
-        e = finite.identity_index(self.base)
+    def __init__(self, base: FiniteSemigroup, map: tuple[int, ...]):
+        e = finite.identity_index(base)
         if e is None:
             raise SemigroupError("EndomorphismTable.base must be a monoid")
-        if len(self.map) != self.base.order:
+        if len(map) != base.order:
             raise SemigroupError("map length must equal base order")
-        if self.map[e] != e:
+        if map[e] != e:
             raise SemigroupError("endomorphism must fix the identity")
-        t = self.base.table
-        for x in range(self.base.order):
-            for y in range(self.base.order):
-                if self.map[t[x][y]] != t[self.map[x]][self.map[y]]:
+        t = base.table
+        for x in range(base.order):
+            for y in range(base.order):
+                if map[t[x][y]] != t[map[x]][map[y]]:
                     raise SemigroupError(f"map is not a homomorphism at ({x},{y})")
+        _set(self, "base", base)
+        _set(self, "map", map)
 
 
-@dataclass(frozen=True)
-class BRElement:
-    m: int
-    s: int
-    n: int
-    theta: EndomorphismTable
+class BRElement(_Value):
+    _fields = ("m", "s", "n", "theta")
 
-    def __post_init__(self):
-        if self.m < 0 or self.n < 0:
+    def __init__(self, m: int, s: int, n: int, theta: EndomorphismTable):
+        if m < 0 or n < 0:
             raise SemigroupError("BR coordinates must be non-negative")
-        if not (0 <= self.s < self.theta.base.order):
+        if not (0 <= s < theta.base.order):
             raise SemigroupError("base element index out of range")
+        _set(self, "m", m)
+        _set(self, "s", s)
+        _set(self, "n", n)
+        _set(self, "theta", theta)
 
 
 def theta_power(theta: EndomorphismTable, x: int, k: int) -> int:
@@ -200,8 +206,7 @@ def _least_period(modulus: int, mask: int) -> int:
     return period
 
 
-@dataclass(frozen=True, init=False)
-class APSet:
+class APSet(_Value):
     """The set (progressions ∪ plus) - minus of naturals, in normal form.
 
     Normal form: one least modulus, `plus` outside the residue classes and
@@ -212,10 +217,7 @@ class APSet:
     multiple (big-int division is quadratic), and built from bytes, not by
     or-ing one bit at a time into the int (each or copies it).
     """
-    modulus: int
-    mask: int
-    plus: frozenset[int]
-    minus: frozenset[int]
+    _fields = ("modulus", "mask", "plus", "minus")
 
     def __init__(self, progressions=(), plus=(), minus=()):
         classes = {}  # modulus -> residues
@@ -238,11 +240,11 @@ class APSet:
     def _normalize(self, big, mask, plus, minus):
         modulus = _least_period(big, mask)
         mask &= (1 << modulus) - 1
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "plus", frozenset(
+        _set(self, "modulus", modulus)
+        _set(self, "mask", mask)
+        _set(self, "plus", frozenset(
             n for n in plus if n >= 0 and not self._in_class(n) and n not in minus))
-        object.__setattr__(self, "minus", frozenset(
+        _set(self, "minus", frozenset(
             n for n in minus if n >= 0 and self._in_class(n)))
 
     def _in_class(self, n: int) -> bool:
@@ -282,19 +284,33 @@ def apset_is_empty(a: APSet) -> bool:
 # ---------------------------------------------------------------------------
 # Injections N -> N with exact image complements
 
-@dataclass(frozen=True)
-class CoInjection:
+class CoInjection(_Value):
     """Injection given by residue-affine pieces plus finite patches.
 
     Unpatched k = modulus*q + r maps to stride*q + offsets[r]; a patched
     source maps to its target.  Construction checks injectivity exactly and
-    derives the image complement in closed form.
+    derives the image complement in closed form, kept as ``complement``,
+    which equality, hash and repr leave out.
     """
-    modulus: int
-    stride: int
-    offsets: tuple[int, ...]
-    patches: tuple[tuple[int, int], ...]
-    complement: APSet = field(init=False, repr=False, compare=False)
+    _fields = ("modulus", "stride", "offsets", "patches")
+
+    def __init__(self, modulus: int, stride: int, offsets: tuple[int, ...],
+                 patches: tuple[tuple[int, int], ...]):
+        _set(self, "modulus", modulus)
+        _set(self, "stride", stride)
+        _set(self, "offsets", offsets)
+        _set(self, "patches", patches)
+        # the checks stay a method of their own: bench/tracing.py times them
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.modulus, self.stride, self.offsets, self.patches)
+                    == (other.modulus, other.stride, other.offsets, other.patches))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.modulus, self.stride, self.offsets, self.patches))
 
     def __post_init__(self):
         if self.modulus < 1 or self.stride < 1:
@@ -319,7 +335,7 @@ class CoInjection:
         below = [v for o in self.offsets if o >= self.stride  # else nothing is below o
                  for v in range(o % self.stride, o, self.stride)]
         moved = [self.piece_apply(src) for src in sources]
-        object.__setattr__(self, "complement", APSet._of_mask(
+        _set(self, "complement", APSet._of_mask(
             self.stride, ((1 << self.stride) - 1) ^ hit, below + moved, targets))
 
     def piece_apply(self, k: int) -> int:
@@ -332,13 +348,13 @@ class CoInjection:
                 return dst
         return self.piece_apply(k)
 
-    def _piece_preimage(self, v: int) -> Optional[int]:
+    def _piece_preimage(self, v: int) -> int | None:
         for r, o in enumerate(self.offsets):
             if v >= o and (v - o) % self.stride == 0:
                 return self.modulus * ((v - o) // self.stride) + r
         return None
 
-    def preimage(self, v: int) -> Optional[int]:
+    def preimage(self, v: int) -> int | None:
         """The unique k with apply(k) = v, or None; exact."""
         for (src, dst) in self.patches:
             if dst == v:

@@ -11,24 +11,25 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import finite
-from .finite import FiniteSemigroup, TooLarge
+from .finite import FiniteSemigroup, TooLarge, _set, _Value
 
 
 class IsGroup(finite.SemigroupError):
     pass
 
 
-@dataclass(frozen=True)
-class PairSet:
+class PairSet(_Value):
     """A relation on a finite semigroup as row bitsets: bit y of ``rows[x]``
     is set when (x, y) is in it.  Iteration yields the pairs in sorted order,
     row by row and lowest bit first; ``in`` scans that iteration."""
-    subject: FiniteSemigroup
-    rows: tuple[int, ...]
+    _fields = ("subject", "rows")
+
+    def __init__(self, subject: FiniteSemigroup, rows: tuple[int, ...]):
+        _set(self, "subject", subject)
+        _set(self, "rows", rows)
 
     @staticmethod
     def from_pairs(subject: FiniteSemigroup, pairs: Iterable[tuple[int, int]]) -> "PairSet":
@@ -73,11 +74,13 @@ def _holds(axiom: str) -> property:
                     doc=f"Whether {axiom} holds: no violation of it is recorded.")
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(_Value):
     """The first violation of each congruence axiom that fails, keyed by the
     axiom's name; an axiom holds exactly when its key is absent."""
-    violations: dict
+    _fields = ("violations",)
+
+    def __init__(self, violations: dict):
+        _set(self, "violations", violations)
 
     contains_diagonal = _holds("contains_diagonal")
     is_subsemigroup = _holds("is_subsemigroup")
@@ -127,12 +130,12 @@ def axiom_report(s: FiniteSemigroup, rho: PairSet) -> AxiomReport:
     return AxiomReport({k: v for k, v in found.items() if v is not None})
 
 
-def _first_asymmetric(rho: PairSet) -> Optional[tuple[int, int]]:
+def _first_asymmetric(rho: PairSet) -> tuple[int, int] | None:
     """The first (x, y) of rho in sorted order with (y, x) not in it, or None."""
     return next(((x, y) for (x, y) in rho if not rho.rows[y] >> x & 1), None)
 
 
-def _first_intransitive(rows: Sequence[int]) -> Optional[tuple[int, int, int]]:
+def _first_intransitive(rows: Sequence[int]) -> tuple[int, int, int] | None:
     """The first (x, y, z) in order with (x, y) and (y, z) in the relation
     but (x, z) not, z smallest, or None when it is transitive.  Elements
     sharing a row fail alike, so only the first of them is tested."""
@@ -243,7 +246,7 @@ def _closed_masks(s: FiniteSemigroup) -> Iterator[int]:
             return
 
 
-def brute_force_is_dsc(s: FiniteSemigroup) -> tuple[bool, Optional[PairSet]]:
+def brute_force_is_dsc(s: FiniteSemigroup) -> tuple[bool, PairSet | None]:
     """Check every diagonal subsemigroup of S x S; complete for order <= 4.
 
     The diagonal subsemigroups come from NextClosure in increasing mask order,

@@ -72,6 +72,27 @@ def test_check_and_witness_reject_order_above_cap(capsys, tmp_path):
         assert str(finite.MAX_ORDER) in json.loads(err)["error"]
 
 
+def test_check_and_witness_read_at_most_the_byte_cap(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "c2.json"
+    path.write_text(constructions.to_json(finite.cyclic_group(2)))
+    size = path.stat().st_size
+    monkeypatch.setattr(finite, "MAX_TABLE_BYTES", size)
+    assert run(capsys, ["check", str(path)])[0] == 0
+    monkeypatch.setattr(finite, "MAX_TABLE_BYTES", size - 1)
+    for command in ("check", "witness"):
+        code, out, err = run(capsys, [command, str(path)])
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": f"table file exceeds the input cap of {size - 1} bytes"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_check_refuses_an_endless_file(capsys):
+    code, out, err = run(capsys, ["check", "/dev/zero"])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": f"table file exceeds the input cap of {finite.MAX_TABLE_BYTES} bytes"}
+
+
 def test_check_malformed_json(capsys, tmp_path):
     path = tmp_path / "bad.json"
     # bad JSON, bytes that are not UTF-8, arrays nested past the recursion limit
@@ -80,6 +101,22 @@ def test_check_malformed_json(capsys, tmp_path):
         code, _, err = run(capsys, ["check", str(path)])
         assert code == 2
         assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("content, error", [
+    (b'{"order": 1,\r\n "table": [[0]] x}', "Expecting ',' delimiter: line 2 column 17 (char 29)"),
+    (b'{"order": 1,\r "table": [[0]] x}', "Expecting ',' delimiter: line 2 column 17 (char 29)"),
+    (b'{"order": 1,' + b" " * 100_000 + b'"x": "\xff"}',
+     "'utf-8' codec can't decode byte 0xff in position 100018: invalid start byte"),
+], ids=["crlf", "cr", "bad-byte-past-the-first-chunk"])
+def test_check_error_positions_count_the_text_as_read(capsys, tmp_path, content, error):
+    """Newlines are translated and the file is decoded whole, as a text-mode
+    read() does, however the bytes were read."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, ["check", str(path)])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": error}
 
 
 @pytest.mark.parametrize("doc, error", [

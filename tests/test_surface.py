@@ -3,11 +3,14 @@
 Every public top-level function and class of ``src/sgdsc`` must be referenced
 by the library's own code (outside its definition) or by a ``bench/*.py``
 file as ``<module>.<name>``.  Constructions only the tests need live in
-``tests/constructions.py``.  The scan reads source with ``ast``; it imports
-nothing.
+``tests/constructions.py``.  The scans read source with ``ast``; only the
+start-up check imports the library, in a subprocess.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -133,3 +136,29 @@ def test_no_check_depends_on_debug_mode():
              if isinstance(node, ast.Assert)
              or isinstance(node, ast.Name) and node.id == "__debug__"]
     assert found == []
+
+
+def test_no_library_module_imports_dataclasses_or_typing():
+    """Both cost milliseconds at every ``sg`` start (dataclasses also pulls in
+    inspect), and @dataclass generates code per class at import."""
+    found = []
+    for mod, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{mod}: {name}" for name in names
+                      if name.split(".")[0] in ("dataclasses", "typing")]
+    assert found == []
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, sgdsc.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
