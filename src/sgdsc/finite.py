@@ -63,10 +63,12 @@ class TooLarge(SemigroupError):
 # (Python 3.11, python -S, bytecode cached).  Every `sg` command pays that at
 # start, against well under 1 ms of work on the paper's small inputs.
 # A subclass lists its fields in _fields and sets them in its own __init__
-# with _set; the hot ones (byleen's letters and NormalForm, BicyclicElement,
-# CoInjection) also write out __eq__ and __hash__, which a generic loop over
-# _fields makes measurably slower.  Equality is field-wise within one class,
-# and hashes are those of the field tuple, as a frozen dataclass has them.
+# with _set.  byleen's letters, SElem and NormalForm, which the certificate
+# search builds and compares in its loops, also write out __eq__ and
+# __hash__: with one generic __init__ and __eq__ for all classes, byleen-certs
+# ran 5-10% slower.
+# Equality is field-wise within one class, and hashes are those of the field
+# tuple, as a frozen dataclass has them.
 
 _set = object.__setattr__
 

@@ -46,14 +46,6 @@ class BicyclicElement(_Value):
         _set(self, "m", m)
         _set(self, "n", n)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.m, self.n) == (other.m, other.n)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.m, self.n))
-
 
 def bicyclic_mul(x: BicyclicElement, y: BicyclicElement) -> BicyclicElement:
     k = max(x.n, y.m)
@@ -302,15 +294,6 @@ class CoInjection(_Value):
         _set(self, "patches", patches)
         # the checks stay a method of their own: bench/tracing.py times them
         self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.modulus, self.stride, self.offsets, self.patches)
-                    == (other.modulus, other.stride, other.offsets, other.patches))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.modulus, self.stride, self.offsets, self.patches))
 
     def __post_init__(self):
         if self.modulus < 1 or self.stride < 1:
