@@ -150,14 +150,15 @@ def zdiag_member(x: int, y: int) -> bool:
 # ---------------------------------------------------------------------------
 # Arithmetic-progression sets over the naturals
 
-def _mask_of(width: int, residues) -> int:
-    """The width-bit mask with bit r set for each r in residues (0 <= r < width).
+def _mask_of(width: int, values) -> int:
+    """The width-bit mask with bit v mod width set for each v in values.
 
     Bits are set in a bytearray and converted once: or-ing 1 << r into an
-    int per residue would copy the whole int each time.
+    int per value would copy the whole int each time.
     """
     buf = bytearray(width // 8 + 1)
-    for r in residues:
+    for v in values:
+        r = v % width
         buf[r >> 3] |= 1 << (r & 7)
     return int.from_bytes(buf, "little")
 
@@ -216,7 +217,7 @@ class APSet(_Value):
         for (m, r) in progressions:
             if m < 1:
                 raise SemigroupError("progression modulus must be positive")
-            classes.setdefault(m, []).append(r % m)
+            classes.setdefault(m, []).append(r)
         big = math.lcm(*classes)
         mask = 0
         for m, residues in classes.items():
@@ -234,13 +235,10 @@ class APSet(_Value):
         mask &= (1 << modulus) - 1
         _set(self, "modulus", modulus)
         _set(self, "mask", mask)
-        _set(self, "plus", frozenset(
-            n for n in plus if n >= 0 and not self._in_class(n) and n not in minus))
-        _set(self, "minus", frozenset(
-            n for n in minus if n >= 0 and self._in_class(n)))
-
-    def _in_class(self, n: int) -> bool:
-        return (self.mask >> (n % self.modulus)) & 1 == 1
+        _set(self, "plus", frozenset([
+            n for n in plus if n >= 0 and not mask >> n % modulus & 1 and n not in minus]))
+        _set(self, "minus", frozenset([
+            n for n in minus if n >= 0 and mask >> n % modulus & 1]))
 
     @property
     def progressions(self) -> tuple[tuple[int, int], ...]:
@@ -250,12 +248,21 @@ class APSet(_Value):
     def member(self, n: int) -> bool:
         if n < 0:
             return False
-        if self._in_class(n):
+        if self.mask >> n % self.modulus & 1:
             return n not in self.minus
         return n in self.plus
 
     def sample(self, upto: int) -> list[int]:
-        return [n for n in range(upto + 1) if self.member(n)]
+        """The members n <= upto, in order."""
+        if upto < 0:
+            return []
+        # the class bits of 0 .. width - 1, least first; the rest of a wide
+        # mask is never read, so it costs no string
+        width = min(self.modulus, upto + 1)
+        bits = format(self.mask & ((1 << width) - 1), f"0{width}b")[::-1]
+        modulus, plus, minus = self.modulus, self.plus, self.minus
+        return [n for n in range(upto + 1)
+                if (n not in minus if bits[n % modulus] == "1" else n in plus)]
 
 
 def apset_intersect(a: APSet, b: APSet) -> APSet:
@@ -264,8 +271,20 @@ def apset_intersect(a: APSet, b: APSet) -> APSet:
     big = math.lcm(a.modulus, b.modulus)
     mask = _spread(a.mask, a.modulus, big) & _spread(b.mask, b.modulus, big)
     points = a.plus | a.minus | b.plus | b.minus
-    plus = {n for n in points if a.member(n) and b.member(n)}
+    plus = {n for n in points  # every patch point is a natural
+            if (n not in a.minus if a.mask >> n % a.modulus & 1 else n in a.plus)
+            and (n not in b.minus if b.mask >> n % b.modulus & 1 else n in b.plus)}
     return APSet._of_mask(big, mask, plus, points - plus)
+
+
+def apset_meets(a: APSet, b: APSet) -> bool:
+    """Whether a and b share a member, without building their meet."""
+    big = math.lcm(a.modulus, b.modulus)
+    if _spread(a.mask, a.modulus, big) & _spread(b.mask, b.modulus, big):
+        return True  # minus is finite, so a shared class keeps infinitely many
+    # with no shared class, a common member lies outside the classes of one
+    # of the two sets, so it is a plus point of that set
+    return any(a.member(n) and b.member(n) for n in a.plus | b.plus)
 
 
 def apset_is_empty(a: APSet) -> bool:
@@ -301,25 +320,29 @@ class CoInjection(_Value):
         if len(self.offsets) != self.modulus:
             raise SemigroupError("need one offset per residue")
         # two pieces in one class mod stride meet infinitely often
-        hit = _mask_of(self.stride, (o % self.stride for o in self.offsets))
+        stride = self.stride
+        hit = _mask_of(stride, self.offsets)
         if min(self.offsets) < 0 or hit.bit_count() != self.modulus:
             raise SemigroupError("offsets must be naturals, distinct mod stride")
         sources, targets = [p[0] for p in self.patches], [p[1] for p in self.patches]
-        for points in (sources, targets):
-            if min(points, default=0) < 0 or len(set(points)) != len(points):
-                raise SemigroupError("patch sources and targets must be distinct naturals")
-        for dst in targets:
-            k = self._piece_preimage(dst)
-            if k is not None and k not in sources:
-                raise SemigroupError(f"not injective: unpatched {k} also maps to {dst}")
+        if self.patches:
+            for points in (sources, targets):
+                if min(points) < 0 or len(set(points)) != len(points):
+                    raise SemigroupError("patch sources and targets must be distinct naturals")
+            for dst in targets:
+                if not hit >> dst % stride & 1:
+                    continue  # no piece hits dst's class, so no unpatched value is dst
+                k = self._piece_preimage(dst)
+                if k is not None and k not in sources:
+                    raise SemigroupError(f"not injective: unpatched {k} also maps to {dst}")
         # image = pieces(N) - pieces(sources) + targets, so the complement is
         # the classes no piece hits, each hit class below its offset, and the
         # sources' piece values, less the targets
-        below = [v for o in self.offsets if o >= self.stride  # else nothing is below o
-                 for v in range(o % self.stride, o, self.stride)]
+        below = [v for o in self.offsets if o >= stride  # else nothing is below o
+                 for v in range(o % stride, o, stride)]
         moved = [self.piece_apply(src) for src in sources]
         _set(self, "complement", APSet._of_mask(
-            self.stride, ((1 << self.stride) - 1) ^ hit, below + moved, targets))
+            stride, ((1 << stride) - 1) ^ hit, below + moved, targets))
 
     def piece_apply(self, k: int) -> int:
         q, r = divmod(k, self.modulus)
@@ -354,8 +377,8 @@ def co_compose(f: CoInjection, g: CoInjection) -> CoInjection:
     # then to g's piece of v; g.modulus | f.stride*g.modulus makes this per-residue
     f_stride, f_offsets, g_modulus, g_stride, g_offsets = (
         f.stride, f.offsets, g.modulus, g.stride, g.offsets)
-    offsets = tuple(g_stride * (v // g_modulus) + g_offsets[v % g_modulus]
-                    for v in (f_stride * q + o for q in range(g_modulus) for o in f_offsets))
+    offsets = tuple([g_stride * (v // g_modulus) + g_offsets[v % g_modulus]
+                     for q in range(g_modulus) for o in f_offsets for v in [f_stride * q + o]])
     keys = {src for (src, _) in f.patches} | {f.preimage(src) for (src, _) in g.patches}
     patches = tuple((k, v) for k in sorted(keys - {None})
                     if (v := g.apply(f.apply(k))) != stride * (k // m) + offsets[k % m])
@@ -380,7 +403,7 @@ def baer_levi_witness() -> dict:
         raise SemigroupError("derived image complements differ from A', B' ∪ {4}, B'")
 
     def rho_member(x: CoInjection, y: CoInjection) -> bool:
-        return not apset_is_empty(apset_intersect(x.complement, y.complement))
+        return apset_meets(x.complement, y.complement)
 
     witness = {"f": f, "g": g, "h": h, "rho_member": rho_member}
     for name, x, y in (("fg", f, g), ("gh", g, h), ("fh", f, h)):

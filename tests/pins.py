@@ -227,23 +227,37 @@ PINS = (
     # library calls past what the CLI reaches (SCRIPTS)
     Pin("deep-products", None, None,
         "e17710c398d6103cbc26375d7217254161a2781728276b00a9eea952ce3449dc", 60),
+    Pin("deep-products-12", None, None,
+        "92da41731430aa22a715eebf75546b4f68d46ae0c83817a7155c09dbe9102f27", 30),
     Pin("subset-scan", None, None,
         "7119bde617f19be5cbc8adb218ba3ceeb3b94157227fcff4a0860d35c545a9cf", 30),
 )
 
 
-def deep_products() -> None:
-    """rho-membership of two pairs of 5-map Baer-Levi composites and of their
-    10-map products, with the meet of the products' complements."""
+def _rho_products(*jobs) -> None:
+    """For each job (f1, g1, f2, g2) of Baer-Levi composites, each named by its
+    maps: rho-membership of (f1, g1), of (f2, g2) and of their products, with
+    the meet of the products' complements."""
     w = infinite.baer_levi_witness()
     rho = w["rho_member"]
-    for specs in (("fghgh", "hgfgg", "ghfhf", "hhgfg"), ("hhfgf", "ggfhg", "fhggh", "gffhh")):
+    for specs in jobs:
         f1, g1, f2, g2 = (functools.reduce(infinite.co_compose, (w[n] for n in spec))
                           for spec in specs)
         f12, g12 = infinite.co_compose(f1, f2), infinite.co_compose(g1, g2)
         meet = infinite.apset_intersect(f12.complement, g12.complement)
         print(rho(f1, g1), rho(f2, g2), rho(f12, g12), meet.modulus, meet.mask.bit_count(),
               meet.sample(64))
+
+
+def deep_products() -> None:
+    """5-map composites and their 10-map products."""
+    _rho_products(("fghgh", "hgfgg", "ghfhf", "hhgfg"), ("hhfgf", "ggfhg", "fhggh", "gffhh"))
+
+
+def deep_products_12() -> None:
+    """6-map composites and their 12-map products (modulus 3^12, stride 4^12)."""
+    _rho_products(("fghghf", "hgfggg", "ghfhfg", "hhgfgh"),
+                  ("hhfgfg", "ggfhgh", "fhgghg", "gffhhg"))
 
 
 def subset_scan() -> None:
@@ -257,7 +271,8 @@ def subset_scan() -> None:
     print(ok, witness.sorted_pairs())
 
 
-SCRIPTS = {"deep-products": deep_products, "subset-scan": subset_scan}
+SCRIPTS = {"deep-products": deep_products, "deep-products-12": deep_products_12,
+           "subset-scan": subset_scan}
 
 
 def run(pins=PINS) -> int:

@@ -9,7 +9,7 @@ import random
 import time
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sgdsc import finite, infinite
 from sgdsc.infinite import APSet, BicyclicElement, BRElement, CoInjection
@@ -634,6 +634,12 @@ _APSETS = st.tuples(st.lists(st.tuples(st.integers(1, 48), st.integers(-100, 100
 
 @settings(max_examples=150, deadline=None)
 @given(_APSETS, _APSETS)
+# disjoint classes that meet only in a plus point: the complements of the
+# Baer-Levi f and g
+@example(([(4, 0)], frozenset(), frozenset()), ([(4, 1)], frozenset({4}), frozenset()))
+@example(([(4, 1)], frozenset({4}), frozenset()), ([(4, 0)], frozenset(), frozenset()))
+# a plus point of one set that the other removes
+@example(([(4, 0)], frozenset(), frozenset({8})), ([], frozenset({8}), frozenset()))
 def test_apset_matches_frozenset_oracle(a_args, b_args):
     assume(math.lcm(*(m for (m, _) in a_args[0] + b_args[0])) <= 5040)
     sets = []
@@ -649,6 +655,32 @@ def test_apset_matches_frozenset_oracle(a_args, b_args):
     both, both_nf = infinite.apset_intersect(a, b), _oracle_intersect(a_nf, b_nf)
     assert _agrees(both, both_nf)
     assert infinite.apset_is_empty(both) == (not both_nf[1] and not both_nf[2])
+    assert infinite.apset_meets(a, b) == infinite.apset_meets(b, a) == \
+        bool(both_nf[1] or both_nf[2])
+
+
+# moduli up to 12, so every upto up to 3·lcm is sampled in a few milliseconds
+_SMALL_APSETS = st.tuples(
+    st.lists(st.tuples(st.integers(1, 12), st.integers(-30, 30)), max_size=2),
+    st.frozensets(st.integers(-5, 60), max_size=6),
+    st.frozensets(st.integers(-5, 60), max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SMALL_APSETS)
+def test_apset_sample_matches_oracle_membership(args):
+    s, nf = APSet(*args), _oracle_apset(*args)
+    big = math.lcm(*(m for (m, _) in args[0]))
+    members = [n for n in range(3 * big + 1) if _oracle_member(nf, n)]
+    # upto < modulus - 1 reads fewer bits than the mask has
+    for upto in range(-1, 3 * big + 1):
+        assert s.sample(upto) == [n for n in members if n <= upto]
+
+
+def test_apset_sample_reads_a_wide_mask_only_up_to_upto():
+    s = APSet(((1 << 20, 1), (1 << 20, 70), (1 << 20, (1 << 20) - 1)), {3}, {1})
+    assert s.modulus == 1 << 20
+    assert (s.sample(-5), s.sample(0), s.sample(64), s.sample(70)) == ([], [], [3], [3, 70])
 
 
 @settings(max_examples=300, deadline=None)
@@ -684,6 +716,36 @@ def test_coinjection_rejects_non_injective():
 def test_coinjection_rejects_non_injective_data(args):
     with pytest.raises(finite.SemigroupError):
         CoInjection(*args)
+
+
+def test_coinjection_patch_target_in_an_unhit_class():
+    # k -> 2k with 0 -> 1: no piece hits the odd class, so 1 is free
+    f = CoInjection(1, 2, (0,), ((0, 1),))
+    assert [f.apply(k) for k in range(4)] == [1, 2, 4, 6]
+    assert f.complement.sample(9) == [0, 3, 5, 7, 9]
+    # 4 is the unpatched value of 2, in the class the piece hits
+    with pytest.raises(finite.SemigroupError, match="unpatched 2 also maps to 4"):
+        CoInjection(1, 2, (0,), ((0, 4),))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_coinjection_accepts_exactly_the_injective_patches(stride, data):
+    residues = data.draw(st.lists(st.integers(0, stride - 1), min_size=1, unique=True))
+    offsets = tuple(r + stride * data.draw(st.integers(0, 3)) for r in residues)
+    patches = tuple(data.draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 40)),
+                                       max_size=3, unique_by=(lambda p: p[0], lambda p: p[1]))))
+    modulus, sources = len(offsets), {src for (src, _) in patches}
+    # an unpatched k >= modulus * 41 maps past every target
+    unpatched = {stride * (k // modulus) + offsets[k % modulus]
+                 for k in range(modulus * 41) if k not in sources}
+    if any(dst in unpatched for (_, dst) in patches):
+        with pytest.raises(finite.SemigroupError, match="not injective"):
+            CoInjection(modulus, stride, offsets, patches)
+    else:
+        f = CoInjection(modulus, stride, offsets, patches)
+        image = {f.apply(k) for k in range(modulus * 41)}
+        assert all(f.complement.member(v) == (v not in image) for v in range(41))
 
 
 def test_coinjection_doubling_complement_is_odd():
