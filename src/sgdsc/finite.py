@@ -5,12 +5,13 @@ Everything here is immutable after construction and safe to share: the
 value classes derive from ``_Value``, whose ``__setattr__`` and
 ``__delattr__`` raise AttributeError, so only a constructor sets fields,
 through ``object.__setattr__``.  A
-table's derived structure (generators, Cayley graphs, Green's classes, its
-kernel) is computed on first use and kept by that table object.  The
-simplicity and group tests read that structure, not the table: the kernel
-(least ideal) is the first J-class Tarjan's search closes, S is simple when
-the kernel is all of S, and a group when it is simple with one R-class and
-one L-class.
+table's derived structure (generators, Cayley graphs, J-components, Green's
+classes) is computed on first use and kept by that table object.  The
+predicates ``is_simple``, ``proper_ideal``, ``identity_index`` and
+``is_group`` are each the one definition of their fact and keep nothing;
+they read that structure, not the table: the kernel (least ideal) is the
+first J-class Tarjan's search closes, S is simple when the kernel is all of
+S, and a group when it is simple with one R-class and one L-class.
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ class FiniteSemigroup(_Value):
 
     # The table's analysis.  Each part is computed on first use and kept by
     # this object, so the predicates and witness_non_dsc all read one
-    # generating set, one pair of Cayley graphs, one GreensData and one kernel,
-    # and what a caller never asks for is never computed.
+    # generating set, one pair of Cayley graphs, one list of J-components and
+    # one GreensData, and what a caller never asks for is never computed.
 
     @functools.cached_property
     def _generators(self) -> list[int]:
@@ -146,38 +147,6 @@ class FiniteSemigroup(_Value):
         j = _classes_from_keys(self._j_components)
         h = _classes_from_keys([(r[x], l[x]) for x in range(self.order)])
         return GreensData(r, l, j, h)
-
-    @functools.cached_property
-    def _proper_ideal(self) -> frozenset[int] | None:
-        """The kernel, S's least ideal, when it is proper; None when S is simple.
-
-        Every element reaches the kernel in the two-sided Cayley graph, so it
-        is the graph's only sink: J-component 0, the first Tarjan closes.
-        Every principal ideal contains it, so it is also the smallest proper
-        principal ideal.
-        """
-        comp = self._j_components
-        if max(comp) == 0:
-            return None
-        return frozenset(x for x, c in enumerate(comp) if c == 0)
-
-    @functools.cached_property
-    def _identity(self) -> int | None:
-        """The e with eg = ge = g for every generator g, hence for all of S."""
-        right, left = self._cayley_graphs
-        gens = tuple(self._generators)
-        return next((e for e in range(self.order) if right[e] == gens == left[e]), None)
-
-    @functools.cached_property
-    def _is_group(self) -> bool:
-        """Simple, with one R-class and one L-class: then S is a single
-        H-class, which holds an idempotent as S is finite, so S is a group
-        (Green's theorem).  Simplicity is read first, so a table with a
-        proper ideal never computes its Green's classes."""
-        if self._proper_ideal is not None:
-            return False
-        gd = self._greens
-        return max(gd.r_class) == max(gd.l_class) == 0
 
 
 def validate_cayley(order: int, table: Sequence[Sequence[int]]) -> FiniteSemigroup:
@@ -414,21 +383,35 @@ def greens(s: FiniteSemigroup) -> GreensData:
 
 def is_simple(s: FiniteSemigroup) -> bool:
     """One J-class: the kernel is all of S."""
-    return s._proper_ideal is None
+    return max(s._j_components) == 0
 
 
 def proper_ideal(s: FiniteSemigroup) -> frozenset[int] | None:
-    """The kernel (least two-sided ideal) when S is not simple, else None.
-    It is also the smallest proper principal ideal."""
-    return s._proper_ideal
+    """The kernel, S's least ideal, when it is proper; None when S is simple.
+
+    Every element reaches the kernel in the two-sided Cayley graph, so it
+    is the graph's only sink: J-component 0, the first Tarjan closes.
+    Every principal ideal contains it, so it is also the smallest proper
+    principal ideal.
+    """
+    if is_simple(s):
+        return None
+    return frozenset(x for x, c in enumerate(s._j_components) if c == 0)
 
 
 def identity_index(s: FiniteSemigroup) -> int | None:
-    return s._identity
+    """The e with eg = ge = g for every generator g, hence for all of S."""
+    right, left = s._cayley_graphs
+    gens = tuple(s._generators)
+    return next((e for e in range(s.order) if right[e] == gens == left[e]), None)
 
 
 def is_group(s: FiniteSemigroup) -> bool:
-    return s._is_group
+    """Simple, with one R-class and one L-class: then S is a single
+    H-class, which holds an idempotent as S is finite, so S is a group
+    (Green's theorem).  Simplicity is read first, so a table with a
+    proper ideal never computes its Green's classes."""
+    return is_simple(s) and max(s._greens.r_class) == max(s._greens.l_class) == 0
 
 
 def idempotents(s: FiniteSemigroup) -> frozenset[int]:

@@ -266,8 +266,9 @@ class APSet(_Value):
 
 
 def apset_intersect(a: APSet, b: APSet) -> APSet:
-    # off the patches membership is class membership, so only patch points
-    # are rechecked
+    # built only for display, as a sample of the meet; rho_member decides
+    # membership with apset_meets.  Off the patches membership is class
+    # membership, so only patch points are rechecked
     big = math.lcm(a.modulus, b.modulus)
     mask = _spread(a.mask, a.modulus, big) & _spread(b.mask, b.modulus, big)
     points = a.plus | a.minus | b.plus | b.minus
@@ -285,11 +286,6 @@ def apset_meets(a: APSet, b: APSet) -> bool:
     # with no shared class, a common member lies outside the classes of one
     # of the two sets, so it is a plus point of that set
     return any(a.member(n) and b.member(n) for n in a.plus | b.plus)
-
-
-def apset_is_empty(a: APSet) -> bool:
-    # minus is finite, so any residue class keeps the set infinite
-    return not a.mask and not a.plus
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +384,17 @@ def co_compose(f: CoInjection, g: CoInjection) -> CoInjection:
 # ---------------------------------------------------------------------------
 # Baer-Levi witness
 
+def rho_member(x: CoInjection, y: CoInjection) -> bool:
+    """(x, y) lies in rho exactly when the image complements of x and y meet."""
+    return apset_meets(x.complement, y.complement)
+
+
 def baer_levi_witness() -> dict:
     """The three injections separating symmetry from transitivity.
 
     X = N, complements: A' = {n = 0 mod 4} for f, B' ∪ {4} for g, and
-    B' = {n = 1 mod 4} for h.  Pairs lie in rho exactly when the two image
-    complements intersect.
+    B' = {n = 1 mod 4} for h.  ``rho_member`` decides each pair; the meets
+    are built only for their samples.
     """
     f = CoInjection(3, 4, (1, 2, 3), ())
     g = CoInjection(3, 4, (2, 3, 4), ((0, 0), (1, 2), (2, 3)))
@@ -402,14 +403,10 @@ def baer_levi_witness() -> dict:
     if (f.complement, g.complement, h.complement) != paper:
         raise SemigroupError("derived image complements differ from A', B' ∪ {4}, B'")
 
-    def rho_member(x: CoInjection, y: CoInjection) -> bool:
-        return apset_meets(x.complement, y.complement)
-
     witness = {"f": f, "g": g, "h": h, "rho_member": rho_member}
     for name, x, y in (("fg", f, g), ("gh", g, h), ("fh", f, h)):
-        meet = apset_intersect(x.complement, y.complement)
-        witness[name] = not apset_is_empty(meet)
-        witness[f"{name}_intersection"] = meet.sample(40)
+        witness[name] = rho_member(x, y)
+        witness[f"{name}_intersection"] = apset_intersect(x.complement, y.complement).sample(40)
     return witness
 
 

@@ -443,6 +443,17 @@ def test_models_baer_levi_fields(capsys):
     assert checks["membership_pattern"]["pass"] is True
 
 
+def test_baer_levi_flags_and_products_share_one_rho_test(capsys, monkeypatch):
+    # the witness hands out infinite.rho_member and its own flags call it, so
+    # rebinding it on the module reaches `sg models baer-levi`
+    assert infinite.baer_levi_witness()["rho_member"] is infinite.rho_member
+    monkeypatch.setattr(infinite, "rho_member", lambda x, y: False)
+    code, out, _ = run(capsys, ["models", "baer-levi"])
+    checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+    assert code == 1
+    assert checks["fg_member"] is False and checks["membership_pattern"] is False
+
+
 def test_timing_only_with_flag(capsys, table_file):
     path = table_file("c2.json", finite.cyclic_group(2))
     _, out, _ = run(capsys, ["check", path])

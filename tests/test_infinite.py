@@ -557,7 +557,9 @@ def test_z_diagonal_fails_for_a_strict_order(monkeypatch):
 def test_apset_intersect_disjoint_residues():
     a = APSet(((4, 0),))
     b = APSet(((4, 1),))
-    assert infinite.apset_is_empty(infinite.apset_intersect(a, b))
+    both = infinite.apset_intersect(a, b)
+    # a set meets itself exactly when it is nonempty
+    assert not infinite.apset_meets(both, both)
 
 
 def test_apset_intersect_patch_survives():
@@ -648,13 +650,14 @@ def test_apset_matches_frozenset_oracle(a_args, b_args):
         assert _agrees(s, nf)
         big = math.lcm(*(m for (m, _) in args[0]))
         assert all(s.member(n) == _oracle_member(nf, n) for n in range(-2, 3 * big + 1))
-        assert infinite.apset_is_empty(s) == (not nf[1] and not nf[2])
+        # a set meets itself exactly when it is nonempty
+        assert infinite.apset_meets(s, s) == bool(nf[1] or nf[2])
         assert (s.mask != 0) == bool(nf[1])
         sets.append((s, nf))
     (a, a_nf), (b, b_nf) = sets
     both, both_nf = infinite.apset_intersect(a, b), _oracle_intersect(a_nf, b_nf)
     assert _agrees(both, both_nf)
-    assert infinite.apset_is_empty(both) == (not both_nf[1] and not both_nf[2])
+    assert infinite.apset_meets(both, both) == bool(both_nf[1] or both_nf[2])
     assert infinite.apset_meets(a, b) == infinite.apset_meets(b, a) == \
         bool(both_nf[1] or both_nf[2])
 
@@ -696,7 +699,7 @@ def test_least_period_matches_divisor_scan(width, copies, data):
 def test_coinjection_identity():
     ident = CoInjection(1, 1, (0,), ())
     assert [ident.apply(k) for k in range(5)] == [0, 1, 2, 3, 4]
-    assert infinite.apset_is_empty(ident.complement)
+    assert not infinite.apset_meets(ident.complement, ident.complement)
 
 
 def test_coinjection_rejects_non_injective():

@@ -104,15 +104,16 @@ def test_finite_imports_nothing_from_relations():
 
 def test_simplicity_and_group_tests_read_no_table_row():
     """The kernel, the J-components, Green's classes, the group test and the
-    identity are read off the Cayley graphs, never off ``self.table``."""
+    identity are read off the Cayley graphs, never off a table's rows."""
     tree = ast.parse((LIB / "finite.py").read_text(encoding="utf-8"))
     cls = next(node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "FiniteSemigroup")
-    methods = {node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)}
-    for name in ("_is_group", "_proper_ideal", "_j_components", "_greens", "_identity"):
+    functions = {node.name: node for body in (tree.body, cls.body) for node in body
+                 if isinstance(node, ast.FunctionDef)}
+    for name in ("is_simple", "proper_ideal", "identity_index", "is_group",
+                 "_j_components", "_greens"):
         assert not any(isinstance(node, ast.Attribute) and node.attr == "table"
-                       and isinstance(node.value, ast.Name) and node.value.id == "self"
-                       for node in ast.walk(methods[name])), name
+                       for node in ast.walk(functions[name])), name
 
 
 def test_no_library_function_calls_itself():
